@@ -20,6 +20,9 @@ SCIDUCTION_THREADS=1 cargo test --workspace --release -q
 echo "==> tier-1: test suite (SCIDUCTION_THREADS=4)"
 SCIDUCTION_THREADS=4 cargo test --workspace --release -q
 
+echo "==> repository benchmark self-tests (incl. BENCHMARK.json agreement)"
+cargo test -q --manifest-path scibench/Cargo.toml
+
 echo "==> differential suite: parallel vs sequential equivalence"
 cargo test --release -p sciduction-suite --test par_vs_seq -q
 

@@ -1087,6 +1087,8 @@ fn bud002_faulted_cause_needs_no_receipt() {
         solvers: Vec::new(),
         proof: None,
         proof_cnf: None,
+        logs: Vec::new(),
+        policy: RetryPolicy::new(0, 0),
     };
     let r = PortfolioValidator::new(&cnf, &[], &outcome).run();
     assert!(!r.has_errors(), "{r}");

@@ -482,18 +482,14 @@ pub struct RaceWin<T> {
 /// and return `None` once it trips. An entrant returning `Some` answer
 /// records itself as the winner (first writer wins) and trips the flag.
 ///
-/// With a [`FaultPlan`] attached, entrants may be deterministically
-/// killed ([`FaultKind::WorkerDeath`]: never run) or spuriously
-/// cancelled ([`FaultKind::SpuriousCancel`]: run against a pre-stopped
-/// private flag). Both decisions are pure in `(seed, kind, entrant
-/// index)` and applied identically on the sequential and parallel
-/// paths, so the set of degraded entrants is thread-count invariant —
-/// and a degraded entrant can only *fail to answer*, never corrupt or
-/// win the race with a wrong answer.
+/// This is the bare race machinery. Fault injection, retry and
+/// degradation live one layer up, in
+/// [`Supervisor::race`](crate::recover::Supervisor::race), which every
+/// engine portfolio runs through (an unsupervised race is a supervised
+/// one allowing zero retries).
 #[derive(Clone, Debug)]
 pub struct Portfolio {
     threads: usize,
-    plan: Option<Arc<FaultPlan>>,
 }
 
 impl Portfolio {
@@ -501,7 +497,6 @@ impl Portfolio {
     pub fn new(threads: usize) -> Self {
         Portfolio {
             threads: threads.max(1),
-            plan: None,
         }
     }
 
@@ -510,29 +505,9 @@ impl Portfolio {
         Portfolio::new(configured_threads())
     }
 
-    /// Attaches a fault-injection plan to this scheduler.
-    pub fn with_fault_plan(mut self, plan: Arc<FaultPlan>) -> Self {
-        self.plan = Some(plan);
-        self
-    }
-
     /// The worker count.
     pub fn threads(&self) -> usize {
         self.threads
-    }
-
-    /// How the attached plan (if any) degrades entrant `i`:
-    /// `Some(true)` = killed outright, `Some(false)` = spuriously
-    /// cancelled, `None` = runs normally.
-    fn entrant_fault(&self, i: usize) -> Option<bool> {
-        let plan = self.plan.as_deref()?;
-        if plan.fires(FaultKind::WorkerDeath, i as u64) {
-            Some(true)
-        } else if plan.fires(FaultKind::SpuriousCancel, i as u64) {
-            Some(false)
-        } else {
-            None
-        }
     }
 
     /// Runs `entrants` to the first answer.
@@ -551,18 +526,7 @@ impl Portfolio {
         let n = entrants.len();
         if self.threads == 1 || n <= 1 {
             for (i, entrant) in entrants.into_iter().enumerate() {
-                let flag = match self.entrant_fault(i) {
-                    Some(true) => continue, // killed: never runs
-                    Some(false) => {
-                        // Spurious cancel: a private, already-tripped
-                        // flag; the entrant gives up at its first poll.
-                        let private = StopFlag::new();
-                        private.stop();
-                        private
-                    }
-                    None => stop.clone(),
-                };
-                match panic::catch_unwind(AssertUnwindSafe(|| entrant(&flag))) {
+                match panic::catch_unwind(AssertUnwindSafe(|| entrant(&stop))) {
                     Ok(Some(value)) => {
                         stop.stop();
                         return Ok(Some(RaceWin { winner: i, value }));
@@ -587,7 +551,6 @@ impl Portfolio {
             entrants.into_iter().map(|e| Mutex::new(Some(e))).collect();
         let (stop_ref, win_ref, fault_ref, entrants_ref, next) =
             (&stop, &win, &fault, &entrants, &next);
-        let this = self;
 
         // Panics are caught *inside* each worker, which then trips the
         // stop flag itself. Detecting them only at join time would
@@ -606,18 +569,7 @@ impl Portfolio {
                     let Some(entrant) = take_entrant(&entrants_ref[i]) else {
                         continue;
                     };
-                    // Same fault decisions as the sequential branch —
-                    // pure in (seed, kind, i), so thread-count invariant.
-                    let flag = match this.entrant_fault(i) {
-                        Some(true) => continue, // killed: never runs
-                        Some(false) => {
-                            let private = StopFlag::new();
-                            private.stop();
-                            private
-                        }
-                        None => stop_ref.clone(),
-                    };
-                    match panic::catch_unwind(AssertUnwindSafe(|| entrant(&flag))) {
+                    match panic::catch_unwind(AssertUnwindSafe(|| entrant(stop_ref))) {
                         Ok(Some(value)) => {
                             // Record-then-cancel: the answer is safely
                             // stored before losers are told to stop, so
@@ -665,7 +617,11 @@ fn take_entrant<F>(slot: &Mutex<Option<F>>) -> Option<F> {
     lock_ignoring_poison(slot).take()
 }
 
-pub(crate) fn lock_ignoring_poison<T>(m: &Mutex<T>) -> std::sync::MutexGuard<'_, T> {
+/// Locks `m`, recovering the guard from a poisoned mutex. Every shared
+/// slot in the workspace is written whole under its lock, so a panic
+/// elsewhere cannot leave it half-updated; the poison flag carries no
+/// information worth failing over.
+pub fn lock_ignoring_poison<T>(m: &Mutex<T>) -> std::sync::MutexGuard<'_, T> {
     m.lock().unwrap_or_else(|poisoned| poisoned.into_inner())
 }
 
@@ -1104,6 +1060,7 @@ impl<K: Eq + Hash + Clone, T> Default for FairQueue<K, T> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::recover::{Attempt, RetryPolicy, Supervisor};
 
     /// A boxed race entrant, for tests mixing closure bodies in one vec.
     type BoxedEntrant<'a> = Box<dyn FnOnce(&StopFlag) -> Option<u32> + Send + 'a>;
@@ -1372,10 +1329,14 @@ mod tests {
             .expect("such a seed exists");
         for threads in [1, 4] {
             let plan = Arc::new(FaultPlan::new(seed));
-            let win = Portfolio::new(threads)
+            let win = Supervisor::new(threads, RetryPolicy::new(seed, 0))
                 .with_fault_plan(Arc::clone(&plan))
-                .race((0..4).map(|i| move |_: &StopFlag| Some(i)).collect())
-                .unwrap()
+                .race(
+                    (0..4)
+                        .map(|i| move |_: &StopFlag, _: u32| Attempt::Answer(i))
+                        .collect(),
+                )
+                .win
                 .expect("a surviving entrant answers");
             assert_ne!(win.winner, 0, "killed entrant 0 must not win");
             assert_eq!(win.value, win.winner);
@@ -1391,22 +1352,18 @@ mod tests {
             })
             .expect("such a seed exists");
         let plan = Arc::new(FaultPlan::new(seed));
-        // A well-behaved entrant returns None when its flag is stopped.
-        let entrants: Vec<BoxedEntrant<'_>> =
-            vec![Box::new(
-                |stop: &StopFlag| {
-                    if stop.is_stopped() {
-                        None
-                    } else {
-                        Some(1)
-                    }
-                },
-            )];
-        let out = Portfolio::new(1)
+        // A well-behaved entrant gives up when its flag is stopped.
+        let entrants = vec![|stop: &StopFlag, _: u32| {
+            if stop.is_stopped() {
+                Attempt::GaveUp(None)
+            } else {
+                Attempt::Answer(1)
+            }
+        }];
+        let out = Supervisor::new(1, RetryPolicy::new(seed, 0))
             .with_fault_plan(plan)
-            .race(entrants)
-            .unwrap();
-        assert!(out.is_none(), "cancelled entrant must give up");
+            .race(entrants);
+        assert!(out.win.is_none(), "cancelled entrant must give up");
     }
 
     #[test]

@@ -444,32 +444,47 @@ pub struct SupervisedRace<T> {
 }
 
 impl<T> SupervisedRace<T> {
-    /// The race's exhaustion cause when no entrant answered: the
-    /// lowest-indexed parked non-`Cancelled` cause, falling back to
-    /// `Cancelled` — deterministic at every thread count, mirroring the
-    /// unsupervised portfolio convention.
-    pub fn verdict_cause(&self) -> Option<Exhausted> {
+    /// The log of the entrant whose parked cause settles a race no
+    /// entrant answered: the lowest-indexed one parking a non-`Cancelled`
+    /// cause, falling back to the lowest-indexed `Cancelled` one —
+    /// deterministic at every thread count.
+    pub fn settling_log(&self) -> Option<&EntrantLog> {
         if self.win.is_some() {
             return None;
         }
-        let causes: Vec<Exhausted> = self
-            .logs
-            .iter()
-            .flatten()
-            .filter_map(|log| log.cause)
-            .collect();
-        causes
-            .iter()
-            .find(|c| !matches!(c, Exhausted::Cancelled))
-            .or_else(|| causes.first())
-            .copied()
+        let parked = || self.logs.iter().flatten().filter(|log| log.cause.is_some());
+        parked()
+            .find(|log| log.cause != Some(Exhausted::Cancelled))
+            .or_else(|| parked().next())
     }
+
+    /// The race's exhaustion cause when no entrant answered: the cause
+    /// of the [`SupervisedRace::settling_log`].
+    pub fn verdict_cause(&self) -> Option<Exhausted> {
+        self.settling_log()?.cause
+    }
+}
+
+/// The first panic a race caught, reported as an unsupervised race
+/// reports it: [`ExecError::WorkerPanicked`] naming the lowest-indexed
+/// entrant whose log holds a [`PanicNote`].
+pub fn first_panic(logs: &[Option<EntrantLog>]) -> Option<ExecError> {
+    logs.iter().flatten().find_map(|log| {
+        log.panics.first().map(|note| ExecError::WorkerPanicked {
+            worker: log.entrant,
+            message: note.message.clone(),
+        })
+    })
 }
 
 /// Supervises portfolio entrants and oracle workers: panic isolation,
 /// deterministic retry with metered backoff, and per-entrant circuit
 /// breakers, optionally under a seeded [`FaultPlan`] whose entrant-level
 /// decisions are re-rolled per attempt at [`retry_site`]s.
+///
+/// This is the one in-process race every engine portfolio runs through:
+/// an unsupervised race is a supervised race whose policy allows zero
+/// retries (`RetryPolicy::new(seed, 0)`).
 #[derive(Clone, Debug)]
 pub struct Supervisor {
     threads: usize,
@@ -516,8 +531,7 @@ impl Supervisor {
     }
 
     /// The entrant-level fault this plan injects at `attempt_site`, if
-    /// any (worker death preempts spurious cancellation, as in the
-    /// unsupervised portfolio).
+    /// any (worker death preempts spurious cancellation).
     fn attempt_fault(&self, attempt_site: u64) -> Option<FaultKind> {
         let plan = self.plan.as_deref()?;
         if plan.fires(FaultKind::WorkerDeath, attempt_site) {
@@ -633,9 +647,16 @@ impl Supervisor {
                     parked = Some(cause.unwrap_or(Exhausted::Cancelled));
                     break 'attempts;
                 }
-                Attempt::Faulted(_) => {
+                Attempt::Faulted(cause) => {
                     breaker.failure();
-                    parked = Some(Exhausted::Faulted { site });
+                    // With no retry allowed the fault itself settles the
+                    // entrant; retries that were allowed and spent park
+                    // the generic retries-exhausted cause.
+                    parked = Some(if self.policy.max_retries == 0 {
+                        cause
+                    } else {
+                        Exhausted::Faulted { site }
+                    });
                 }
             }
         }
@@ -660,8 +681,8 @@ impl Supervisor {
     /// [`Attempt`] — it must rebuild any engine state per attempt, which
     /// is what makes retrying a panicked or killed attempt sound. The
     /// race itself reuses [`Portfolio::race`]'s record-then-cancel
-    /// machinery (without a fault plan: fault decisions happen inside
-    /// supervision, where they can be retried).
+    /// machinery; fault decisions happen inside supervision, where they
+    /// can be retried.
     pub fn race<T, F>(&self, entrants: Vec<F>) -> SupervisedRace<T>
     where
         T: Send,
@@ -935,6 +956,47 @@ mod tests {
         assert!(!log.answered);
         assert_eq!(log.attempts, 3, "initial attempt + 2 retries");
         assert_eq!(log.panics.len(), 3);
+    }
+
+    #[test]
+    fn zero_retry_faults_park_their_own_cause() {
+        // Entrant 0's only attempt is killed: with no retry allowed it
+        // parks the injection itself, not the retries-exhausted cause.
+        let seed = (1u64..)
+            .find(|&s| FaultPlan::decides(s, FaultKind::WorkerDeath, 0))
+            .expect("such a seed exists");
+        let out = Supervisor::new(1, RetryPolicy::new(seed, 0))
+            .with_fault_plan(Arc::new(FaultPlan::targeting(seed, FaultKind::WorkerDeath)))
+            .race(vec![|_: &StopFlag, _: u32| Attempt::Answer(0u32)]);
+        let injected = Exhausted::Injected {
+            seed,
+            kind: FaultKind::WorkerDeath,
+            site: 0,
+        };
+        assert_eq!(out.verdict_cause(), Some(injected));
+        assert_eq!(out.settling_log().map(|log| log.entrant), Some(0));
+        // A panicking only attempt parks Faulted and surfaces as the
+        // unsupervised race's WorkerPanicked error.
+        let entrants: Vec<_> = (0..2u64)
+            .map(|i| {
+                move |_: &StopFlag, _: u32| -> Attempt<u32> {
+                    if i == 0 {
+                        Attempt::GaveUp(Some(Exhausted::Cancelled))
+                    } else {
+                        panic!("member {i} broke")
+                    }
+                }
+            })
+            .collect();
+        let out = Supervisor::new(1, RetryPolicy::new(1, 0)).race(entrants);
+        assert_eq!(out.verdict_cause(), Some(Exhausted::Faulted { site: 1 }));
+        assert_eq!(
+            first_panic(&out.logs),
+            Some(ExecError::WorkerPanicked {
+                worker: 1,
+                message: "member 1 broke".into()
+            })
+        );
     }
 
     #[test]

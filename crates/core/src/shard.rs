@@ -271,7 +271,7 @@ impl ShardReply {
 ///   watchdog must reap us.
 /// * [`FaultKind::ShardGarbage`] — write a deliberately CRC-corrupt
 ///   frame and exit: the supervisor must refuse it as shard death.
-pub fn run_worker<R, W, F>(input: &mut R, output: W, compute: F) -> Result<(), String>
+pub fn run_worker<R, W, F>(input: &mut R, mut output: W, compute: F) -> Result<(), String>
 where
     R: Read,
     W: Write + Send + 'static,
@@ -293,21 +293,26 @@ where
         if FaultPlan::decides(seed, FaultKind::ShardGarbage, req.site) {
             let mut garbled = encode_frame(b"shard-garbage");
             garbled[FRAME_HEADER - 1] ^= 0xFF; // break the CRC, keep the length
-            let mut out = output;
-            out.write_all(&garbled)
+            output
+                .write_all(&garbled)
                 .map_err(|e| format!("garbage write: {e}"))?;
-            return out.flush().map_err(|e| format!("garbage flush: {e}"));
+            return output.flush().map_err(|e| format!("garbage flush: {e}"));
         }
     }
 
     // The output stream is shared between the heartbeat thread and the
     // final result write; `done` is flipped under the same lock that
     // guards writes, so a heartbeat can never land after (or inside)
-    // the result frame.
+    // the result frame. The first beat is written here, before `compute`
+    // starts, so every result is preceded by at least one heartbeat; a
+    // failed write means the supervisor hung up, which the result write
+    // reports.
+    let _ = write_frame(&mut output, &ShardReply::Heartbeat.encode());
     let shared = Arc::new(Mutex::new((output, false)));
     let beater = {
         let shared = Arc::clone(&shared);
         thread::spawn(move || loop {
+            thread::sleep(HEARTBEAT_INTERVAL);
             {
                 let mut guard = match shared.lock() {
                     Ok(g) => g,
@@ -322,7 +327,6 @@ where
                     return;
                 }
             }
-            thread::sleep(HEARTBEAT_INTERVAL);
         })
     };
 

@@ -58,7 +58,6 @@ pub use journal::CegisJournal;
 pub use synth::{
     synthesize, synthesize_journaled, synthesize_portfolio, synthesize_portfolio_supervised,
     synthesize_portfolio_with_faults, synthesize_resume, synthesize_with_cache,
-    verify_against_oracle, ParallelSynthesisConfig, ParallelSynthesisOutcome,
-    SupervisedSynthesisOutcome, SynthesisConfig, SynthesisOutcome, SynthesisStats,
-    VerificationResult,
+    verify_against_oracle, ParallelSynthesisConfig, ParallelSynthesisOutcome, SynthesisConfig,
+    SynthesisOutcome, SynthesisStats, VerificationResult,
 };

@@ -13,8 +13,12 @@
 use crate::component::{ComponentLibrary, IoOracle, Op, SynthProgram};
 use crate::journal::CegisJournal;
 use sciduction::budget::{Budget, BudgetMeter, Exhausted, Verdict};
-use sciduction::exec::{CacheStats, ExecError, FaultKind, FaultPlan, Portfolio, StopFlag};
-use sciduction::recover::{retry_site, Attempt, EntrantLog, JournalError, RetryPolicy, Supervisor};
+use sciduction::exec::{
+    lock_ignoring_poison, CacheStats, ExecError, FaultKind, FaultPlan, StopFlag,
+};
+use sciduction::recover::{
+    first_panic, retry_site, Attempt, EntrantLog, JournalError, RetryPolicy, Supervisor,
+};
 use sciduction_rng::rngs::StdRng;
 use sciduction_rng::{Rng, SeedableRng, Xoshiro256PlusPlus};
 use sciduction_smt::{BvValue, CheckResult, SmtQueryCache, Solver, TermId};
@@ -740,15 +744,22 @@ impl Default for ParallelSynthesisConfig {
 #[derive(Clone, Debug)]
 pub struct ParallelSynthesisOutcome {
     /// The winning member's outcome; when no member answered (all
-    /// exhausted, killed, or cancelled) this is the lowest-indexed
-    /// member's [`SynthesisOutcome::BudgetExhausted`].
+    /// exhausted, killed, or cancelled) this is the
+    /// [`SynthesisOutcome::BudgetExhausted`] of the member whose parked
+    /// cause settles the race.
     pub outcome: SynthesisOutcome,
-    /// The winning member's counters.
+    /// The winning (or settling) member's counters.
     pub stats: SynthesisStats,
     /// Index of the winning member; `None` when no member answered.
     pub winner: Option<usize>,
     /// Shared SMT query cache counters at the end of the race.
     pub cache: CacheStats,
+    /// Per-member supervision logs, indexed like the members; the `REC`
+    /// lints audit them.
+    pub logs: Vec<Option<EntrantLog>>,
+    /// The retry policy the race ran under (zero retries for
+    /// [`synthesize_portfolio_with_faults`]).
+    pub policy: RetryPolicy,
 }
 
 /// Races `members` seed-diversified synthesis instances over one library.
@@ -758,8 +769,8 @@ pub struct ParallelSynthesisOutcome {
 /// teaching sequence and explores the candidate space in a different
 /// order. All members share one canonical-key SMT query cache, so a
 /// query solved by any member is free for the rest. The first member to
-/// reach *any* terminal outcome (synthesized, infeasible, or budget
-/// exhausted) cancels its siblings.
+/// synthesize or prove infeasibility cancels its siblings; a member that
+/// exhausts its budget loses the race instead.
 ///
 /// `make_oracle(i)` builds member `i`'s private I/O oracle; oracles for
 /// the same specification must agree pointwise.
@@ -786,15 +797,17 @@ where
     )
 }
 
-/// [`synthesize_portfolio`] with an explicit fault plan.
+/// [`synthesize_portfolio`] with an explicit fault plan: the supervised
+/// race allowing zero retries, with a member panic surfaced as an error.
 ///
 /// Degradation contract mirrors the SAT portfolio: an exhausted or
-/// fault-injected member parks its `BudgetExhausted` outcome and loses
-/// the race instead of answering, so a surviving sibling's outcome is
-/// never flipped or masked; only when every member fails does the race
-/// report `winner: None` with the lowest-indexed parked outcome. The
-/// fault plan is also attached to the shared SMT query cache, so
-/// `CacheMissStorm` faults exercise recomputation paths.
+/// fault-injected member parks its cause and loses the race instead of
+/// answering, so a surviving sibling's outcome is never flipped or
+/// masked; only when every member fails does the race report
+/// `winner: None`, settled by the lowest-indexed member parking a
+/// non-`Cancelled` cause. The fault plan is also attached to the shared
+/// SMT query cache, so `CacheMissStorm` faults exercise recomputation
+/// paths.
 ///
 /// # Errors
 ///
@@ -810,159 +823,22 @@ where
     O: IoOracle,
     F: Fn(usize) -> O + Sync,
 {
-    let members = par.members.max(1);
-    let mut cache = if par.cache_capacity == 0 {
-        SmtQueryCache::new()
-    } else {
-        SmtQueryCache::bounded(par.cache_capacity)
-    };
-    if let Some(p) = plan.as_ref() {
-        cache = cache.with_fault_plan(Arc::clone(p));
-    }
-    let cache = Arc::new(cache);
-
-    // Budget-exhaustion injections decided up front in member order, so
-    // the decision (and its log order) is thread-count invariant.
-    let injected: Vec<bool> = (0..members)
-        .map(|i| {
-            plan.as_deref()
-                .is_some_and(|p| p.fires(FaultKind::BudgetExhaustion, i as u64))
-        })
-        .collect();
-    let plan_seed = plan.as_ref().map(|p| p.seed());
-
-    // Members that stop without answering park their exhausted outcome
-    // here so the race can report a deterministic cause.
-    let exhausted: Vec<Mutex<Option<(SynthesisOutcome, SynthesisStats)>>> =
-        (0..members).map(|_| Mutex::new(None)).collect();
-    let exhausted_ref = &exhausted;
-
-    let parent = Xoshiro256PlusPlus::seed_from_u64(config.seed);
-    let entrants: Vec<_> = (0..members)
-        .map(|i| {
-            let member_config = if i == 0 {
-                *config
-            } else {
-                let mut stream = parent.fork(i as u64);
-                SynthesisConfig {
-                    seed: stream.random(),
-                    ..*config
-                }
-            };
-            let cache = Arc::clone(&cache);
-            let make_oracle = &make_oracle;
-            let injected_here = injected[i];
-            move |stop: &StopFlag| {
-                if injected_here {
-                    let outcome = SynthesisOutcome::BudgetExhausted {
-                        iterations: 0,
-                        cause: Exhausted::Injected {
-                            seed: plan_seed.expect("injection implies a plan"),
-                            kind: FaultKind::BudgetExhaustion,
-                            site: i as u64,
-                        },
-                    };
-                    *lock(&exhausted_ref[i]) = Some((outcome, SynthesisStats::default()));
-                    return None;
-                }
-                let mut oracle = make_oracle(i);
-                match synthesize_run(
-                    library,
-                    &mut oracle,
-                    &member_config,
-                    Some(cache),
-                    Some(stop),
-                ) {
-                    Some((outcome @ SynthesisOutcome::BudgetExhausted { .. }, stats)) => {
-                        // An exhausted member must lose the race: park the
-                        // outcome so a sibling's real answer prevails.
-                        *lock(&exhausted_ref[i]) = Some((outcome, stats));
-                        None
-                    }
-                    other => other,
-                }
-            }
-        })
-        .collect();
-    let mut scheduler = Portfolio::new(par.threads);
-    if let Some(p) = plan.as_ref() {
-        scheduler = scheduler.with_fault_plan(Arc::clone(p));
-    }
-    Ok(match scheduler.race(entrants)? {
-        Some(win) => {
-            let (outcome, stats) = win.value;
-            ParallelSynthesisOutcome {
-                outcome,
-                stats,
-                winner: Some(win.winner),
-                cache: cache.stats(),
-            }
-        }
-        None => {
-            // No member answered. Deterministic outcome selection: the
-            // lowest-indexed parked exhaustion; members killed before
-            // running parked nothing, so fall back to re-deriving the
-            // kill from the plan, then to plain cancellation.
-            let parked = exhausted.iter().find_map(|m| lock(m).take());
-            let (outcome, stats) = parked.unwrap_or_else(|| {
-                let cause = plan_seed
-                    .and_then(|seed| {
-                        (0..members as u64)
-                            .find(|&i| FaultPlan::decides(seed, FaultKind::WorkerDeath, i))
-                            .map(|site| Exhausted::Injected {
-                                seed,
-                                kind: FaultKind::WorkerDeath,
-                                site,
-                            })
-                    })
-                    .unwrap_or(Exhausted::Cancelled);
-                (
-                    SynthesisOutcome::BudgetExhausted {
-                        iterations: 0,
-                        cause,
-                    },
-                    SynthesisStats::default(),
-                )
-            });
-            ParallelSynthesisOutcome {
-                outcome,
-                stats,
-                winner: None,
-                cache: cache.stats(),
-            }
-        }
-    })
+    let out = synthesize_portfolio_supervised(
+        library,
+        make_oracle,
+        config,
+        par,
+        RetryPolicy::new(config.seed, 0),
+        plan,
+    );
+    first_panic(&out.logs).map_or(Ok(out), Err)
 }
 
-fn lock<T>(m: &Mutex<T>) -> std::sync::MutexGuard<'_, T> {
-    m.lock().unwrap_or_else(|poisoned| poisoned.into_inner())
-}
-
-/// The outcome of a *supervised* synthesis race: like
-/// [`ParallelSynthesisOutcome`], plus the per-member supervision logs
-/// the `REC` lints audit.
-#[derive(Clone, Debug)]
-pub struct SupervisedSynthesisOutcome {
-    /// The winning member's outcome; when no member answered, a
-    /// [`SynthesisOutcome::BudgetExhausted`] with the race's parked cause.
-    pub outcome: SynthesisOutcome,
-    /// The winning member's counters.
-    pub stats: SynthesisStats,
-    /// Index of the winning member; `None` when no member answered.
-    pub winner: Option<usize>,
-    /// Shared SMT query cache counters at the end of the race.
-    pub cache: CacheStats,
-    /// Per-member supervision logs, indexed like the members.
-    pub logs: Vec<Option<EntrantLog>>,
-    /// The retry policy the race ran under.
-    pub policy: RetryPolicy,
-}
-
-/// [`synthesize_portfolio_with_faults`] under supervision: every member
-/// runs inside `catch_unwind` with deterministic retry and a circuit
-/// breaker, and injected faults (worker death, spurious cancellation,
-/// forged budget exhaustion) are re-rolled per attempt at fresh
-/// [`retry_site`]s — so under any fault seed a supervised race with
+/// Races the synthesis portfolio under supervision: every member runs
+/// inside `catch_unwind` with deterministic retry and a circuit breaker,
+/// and injected faults (worker death, spurious cancellation, forged
+/// budget exhaustion) are re-rolled per attempt at fresh [`retry_site`]s
+/// while `policy` allows — so under any fault seed a supervised race with
 /// remaining budget completes with the clean outcome. Honest budget
 /// exhaustion is never retried. Each attempt restarts its member's loop
 /// from scratch (sharing the SMT query cache, so repeated work is
@@ -974,7 +850,7 @@ pub fn synthesize_portfolio_supervised<O, F>(
     par: &ParallelSynthesisConfig,
     policy: RetryPolicy,
     plan: Option<Arc<FaultPlan>>,
-) -> SupervisedSynthesisOutcome
+) -> ParallelSynthesisOutcome
 where
     O: IoOracle,
     F: Fn(usize) -> O + Sync,
@@ -989,7 +865,13 @@ where
         cache = cache.with_fault_plan(Arc::clone(p));
     }
     let cache = Arc::new(cache);
-    let plan_seed = plan.as_ref().map(|p| p.seed());
+
+    // Members that stop without answering park their exhausted outcome
+    // here so the race can report the settling member's outcome.
+    let exhausted: Vec<Mutex<Option<(SynthesisOutcome, SynthesisStats)>>> =
+        (0..members).map(|_| Mutex::new(None)).collect();
+    let (exhausted_ref, plan_ref, cache_ref, make_oracle) =
+        (&exhausted, plan.as_deref(), &cache, &make_oracle);
 
     let parent = Xoshiro256PlusPlus::seed_from_u64(config.seed);
     let entrants: Vec<_> = (0..members)
@@ -1003,33 +885,36 @@ where
                     ..*config
                 }
             };
-            let cache = Arc::clone(&cache);
-            let make_oracle = &make_oracle;
-            let plan = plan.clone();
             move |stop: &StopFlag, attempt: u32| {
                 // Per-attempt budget-exhaustion injection: a retry
                 // re-rolls the decision at its own site.
                 let site = retry_site(i as u64, attempt);
-                if let Some(p) = plan.as_deref() {
-                    if p.fires(FaultKind::BudgetExhaustion, site) {
-                        return Attempt::Faulted(Exhausted::Injected {
-                            seed: plan_seed.expect("injection implies a plan"),
-                            kind: FaultKind::BudgetExhaustion,
-                            site,
-                        });
-                    }
+                if let Some(p) = plan_ref.filter(|p| p.fires(FaultKind::BudgetExhaustion, site)) {
+                    let cause = Exhausted::Injected {
+                        seed: p.seed(),
+                        kind: FaultKind::BudgetExhaustion,
+                        site,
+                    };
+                    let outcome = SynthesisOutcome::BudgetExhausted {
+                        iterations: 0,
+                        cause,
+                    };
+                    *lock_ignoring_poison(&exhausted_ref[i]) =
+                        Some((outcome, SynthesisStats::default()));
+                    return Attempt::Faulted(cause);
                 }
                 let mut oracle = make_oracle(i);
                 match synthesize_run(
                     library,
                     &mut oracle,
                     &member_config,
-                    Some(Arc::clone(&cache)),
+                    Some(Arc::clone(cache_ref)),
                     Some(stop),
                 ) {
-                    Some((SynthesisOutcome::BudgetExhausted { cause, .. }, _)) => {
+                    Some((outcome @ SynthesisOutcome::BudgetExhausted { cause, .. }, stats)) => {
                         // Honest exhaustion: must lose the race and must
                         // not be retried.
+                        *lock_ignoring_poison(&exhausted_ref[i]) = Some((outcome, stats));
                         Attempt::GaveUp(Some(cause))
                     }
                     Some(answer) => Attempt::Answer(answer),
@@ -1044,30 +929,41 @@ where
         supervisor = supervisor.with_fault_plan(Arc::clone(p));
     }
     let race = supervisor.race(entrants);
-    let cause = race.verdict_cause();
-    match race.win {
-        Some(win) => {
-            let (outcome, stats) = win.value;
-            SupervisedSynthesisOutcome {
-                outcome,
-                stats,
-                winner: Some(win.winner),
-                cache: cache.stats(),
-                logs: race.logs,
-                policy: race.policy,
-            }
+    let (outcome, stats, winner) = match race.win {
+        Some(win) => (win.value.0, win.value.1, Some(win.winner)),
+        None => {
+            // The settling member's parked outcome, unless a later
+            // attempt of that member settled it with another cause.
+            let settling = race.settling_log();
+            let cause = settling
+                .and_then(|log| log.cause)
+                .unwrap_or(Exhausted::Cancelled);
+            let parked =
+                settling.and_then(|log| lock_ignoring_poison(&exhausted[log.entrant]).take());
+            let (outcome, stats) = match parked {
+                Some((outcome @ SynthesisOutcome::BudgetExhausted { cause: c, .. }, stats))
+                    if c == cause =>
+                {
+                    (outcome, stats)
+                }
+                _ => (
+                    SynthesisOutcome::BudgetExhausted {
+                        iterations: 0,
+                        cause,
+                    },
+                    SynthesisStats::default(),
+                ),
+            };
+            (outcome, stats, None)
         }
-        None => SupervisedSynthesisOutcome {
-            outcome: SynthesisOutcome::BudgetExhausted {
-                iterations: 0,
-                cause: cause.unwrap_or(Exhausted::Cancelled),
-            },
-            stats: SynthesisStats::default(),
-            winner: None,
-            cache: cache.stats(),
-            logs: race.logs,
-            policy: race.policy,
-        },
+    };
+    ParallelSynthesisOutcome {
+        outcome,
+        stats,
+        winner,
+        cache: cache.stats(),
+        logs: race.logs,
+        policy: race.policy,
     }
 }
 

@@ -47,7 +47,7 @@ pub use clause::{Clause, ClauseRef};
 pub use dimacs::{Cnf, DimacsError};
 pub use portfolio::{
     diversified_configs, solve_portfolio, solve_portfolio_supervised, solve_portfolio_with_faults,
-    PortfolioConfig, PortfolioOutcome, SupervisedPortfolioOutcome,
+    PortfolioConfig, PortfolioOutcome,
 };
 pub use solver::{SolveResult, Solver, SolverConfig, Stats};
 pub use types::{LBool, Lit, Var};

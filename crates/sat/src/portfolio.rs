@@ -4,10 +4,11 @@
 //! [`SolverConfig`] — different initial-phase seeds (drawn from a forked
 //! `sciduction-rng` stream), restart bases, and activity-decay rates —
 //! and the first member to answer cancels the rest through the shared
-//! stop flag of [`sciduction::exec::Portfolio`]. Because SAT is a
-//! decision problem, every member's answer is interchangeable: a model
-//! from any member certifies SAT, a refutation from any member certifies
-//! UNSAT, so first-winner racing preserves verdicts exactly.
+//! stop flag of the supervised race ([`sciduction::recover::Supervisor`]).
+//! Because SAT is a decision problem, every member's answer is
+//! interchangeable: a model from any member certifies SAT, a refutation
+//! from any member certifies UNSAT, so first-winner racing preserves
+//! verdicts exactly.
 //!
 //! Member 0 always runs the default configuration, which makes the
 //! sequential fallback (`threads = 1`, where members run in index order
@@ -15,8 +16,8 @@
 
 use crate::{Cnf, Lit, SolveResult, Solver, SolverConfig, Var};
 use sciduction::budget::{Budget, Exhausted, Verdict};
-use sciduction::exec::{ExecError, FaultKind, FaultPlan, Portfolio, StopFlag};
-use sciduction::recover::{retry_site, Attempt, EntrantLog, RetryPolicy, Supervisor};
+use sciduction::exec::{lock_ignoring_poison, ExecError, FaultKind, FaultPlan, StopFlag};
+use sciduction::recover::{first_panic, retry_site, Attempt, EntrantLog, RetryPolicy, Supervisor};
 use sciduction_proof::{CnfFormula, Proof};
 use sciduction_rng::{Rng, SeedableRng, Xoshiro256PlusPlus};
 use std::sync::{Arc, Mutex};
@@ -42,8 +43,6 @@ pub struct PortfolioConfig {
     /// losers keep their entrant logs on their parked solvers. Because each
     /// member's search is deterministic and the winner is selected
     /// deterministically, the certified proof is thread-count invariant.
-    /// Ignored by [`solve_portfolio_supervised`], whose per-attempt solvers
-    /// are dropped before the outcome is assembled.
     pub proof: bool,
 }
 
@@ -75,9 +74,10 @@ pub struct PortfolioOutcome {
     pub model: Vec<bool>,
     /// The winner's failed-assumption set (empty on SAT or `Unknown`).
     pub failed_assumptions: Vec<Lit>,
-    /// Every member that ran to completion or cancellation, in member
-    /// order; members the scheduler never started are `None`. Each ran
-    /// member carries a [`Solver::budget_receipt`] the `BUD` lints audit.
+    /// Every member that ran, in member order, as its last attempt left
+    /// it; members never started (or killed before running) are `None`.
+    /// Each ran member carries a [`Solver::budget_receipt`] the `BUD`
+    /// lints audit.
     pub solvers: Vec<Option<Solver>>,
     /// The winning member's DRAT proof, present exactly when
     /// [`PortfolioConfig::proof`] was set and the verdict is
@@ -87,6 +87,13 @@ pub struct PortfolioOutcome {
     /// The certificate CNF matching [`PortfolioOutcome::proof`]: the
     /// formula exactly as the members received it.
     pub proof_cnf: Option<CnfFormula>,
+    /// Per-member supervision logs (retry charges, breaker history,
+    /// caught panics), indexed like the members; the `REC` lints audit
+    /// them.
+    pub logs: Vec<Option<EntrantLog>>,
+    /// The retry policy the race ran under (zero retries for
+    /// [`solve_portfolio_with_faults`]).
+    pub policy: RetryPolicy,
 }
 
 /// The diversified member configurations for an `n`-member portfolio.
@@ -134,231 +141,69 @@ pub fn solve_portfolio(
 }
 
 /// [`solve_portfolio`] with an explicit fault plan (the differential
-/// fault-matrix tests inject per-kind plans here).
+/// fault-matrix tests inject per-kind plans here): the supervised race
+/// allowing zero retries, with a member panic surfaced as an error.
 ///
 /// Degradation contract: a faulted or exhausted member can only *fail to
 /// answer* — it parks its exhaustion cause and loses the race, so a
 /// surviving sibling's verdict is never flipped or masked. Only when
 /// every member fails does the outcome turn `Unknown`, with the cause of
-/// the lowest-indexed failed member (deterministic at every thread
-/// count, since fault decisions are pure in the member index).
+/// the lowest-indexed member parking a non-`Cancelled` one (deterministic
+/// at every thread count, since fault decisions are pure in the member
+/// index).
 pub fn solve_portfolio_with_faults(
     cnf: &Cnf,
     assumptions: &[Lit],
     config: &PortfolioConfig,
     plan: Option<Arc<FaultPlan>>,
 ) -> Result<PortfolioOutcome, ExecError> {
-    let members = config.members.max(1);
-    let configs = diversified_configs(members, config.seed);
-    let solvers: Vec<(usize, Solver)> = configs
-        .into_iter()
-        .enumerate()
-        .map(|(i, cfg)| {
-            let mut s = Solver::with_config(cfg);
-            if config.proof {
-                s.enable_proof_logging();
-            }
-            let vars: Vec<Var> = (0..cnf.num_vars).map(|_| s.new_var()).collect();
-            for cl in &cnf.clauses {
-                let lits: Vec<Lit> = cl
-                    .iter()
-                    .map(|&v| Lit::new(vars[(v.unsigned_abs() - 1) as usize], v < 0))
-                    .collect();
-                s.add_clause(lits);
-            }
-            (i, s)
-        })
-        .collect();
-
-    // Budget-exhaustion injections are decided up front, in member order,
-    // so the decision (and its log order) is thread-count invariant.
-    let injected: Vec<bool> = (0..members)
-        .map(|i| {
-            plan.as_deref()
-                .is_some_and(|p| p.fires(FaultKind::BudgetExhaustion, i as u64))
-        })
-        .collect();
-    let plan_seed = plan.as_ref().map(|p| p.seed());
-
-    // Finished members park themselves here so the lint can audit the
-    // losers' clause databases after the race; members that stopped
-    // without answering also park their exhaustion cause.
-    let parked: Vec<Mutex<Option<Solver>>> = (0..members).map(|_| Mutex::new(None)).collect();
-    let causes: Vec<Mutex<Option<Exhausted>>> = (0..members).map(|_| Mutex::new(None)).collect();
-    let (parked_ref, causes_ref) = (&parked, &causes);
-
-    let entrants: Vec<_> = solvers
-        .into_iter()
-        .map(|(i, mut solver)| {
-            let assumptions = assumptions.to_vec();
-            let budget = config.budget;
-            let injected_here = injected[i];
-            move |stop: &StopFlag| {
-                let answer = if injected_here {
-                    let cause = solver.record_injected_exhaustion(
-                        plan_seed.expect("injection implies a plan"),
-                        FaultKind::BudgetExhaustion,
-                        i as u64,
-                    );
-                    *lock(&causes_ref[i]) = Some(cause);
-                    None
-                } else {
-                    solver.set_stop_flag(stop.handle());
-                    match solver.solve_bounded_interruptible(&assumptions, &budget) {
-                        Some(Verdict::Known(r)) => {
-                            Some((r, solver.model(), solver.failed_assumptions().to_vec()))
-                        }
-                        Some(Verdict::Unknown(cause)) => {
-                            *lock(&causes_ref[i]) = Some(cause);
-                            None
-                        }
-                        None => {
-                            *lock(&causes_ref[i]) = Some(Exhausted::Cancelled);
-                            None
-                        }
-                    }
-                };
-                *lock(&parked_ref[i]) = Some(solver);
-                answer
-            }
-        })
-        .collect();
-
-    let mut scheduler = Portfolio::new(config.threads);
-    if let Some(p) = plan.as_ref() {
-        scheduler = scheduler.with_fault_plan(Arc::clone(p));
-    }
-    let win = scheduler.race(entrants)?;
-    let solvers: Vec<Option<Solver>> = parked
-        .into_iter()
-        .map(|m| {
-            m.into_inner()
-                .unwrap_or_else(|poisoned| poisoned.into_inner())
-        })
-        .collect();
-    Ok(match win {
-        Some(win) => {
-            let (result, model, failed_assumptions) = win.value;
-            let (proof, proof_cnf) = if result == SolveResult::Unsat {
-                match solvers[win.winner].as_ref() {
-                    Some(s) => (s.unsat_proof(), s.proof_cnf()),
-                    None => (None, None),
-                }
-            } else {
-                (None, None)
-            };
-            PortfolioOutcome {
-                verdict: Verdict::Known(result),
-                winner: Some(win.winner),
-                model,
-                failed_assumptions,
-                solvers,
-                proof,
-                proof_cnf,
-            }
-        }
-        None => {
-            // Every member failed. Deterministic cause selection: the
-            // lowest-indexed parked cause; members killed by WorkerDeath
-            // never parked one, so fall back to re-deriving the kill from
-            // the plan; Cancelled covers any remaining corner.
-            let parked_cause = causes.iter().find_map(|m| *lock(m));
-            let cause = parked_cause
-                .or_else(|| {
-                    let seed = plan_seed?;
-                    (0..members as u64)
-                        .find(|&i| FaultPlan::decides(seed, FaultKind::WorkerDeath, i))
-                        .map(|site| Exhausted::Injected {
-                            seed,
-                            kind: FaultKind::WorkerDeath,
-                            site,
-                        })
-                })
-                .unwrap_or(Exhausted::Cancelled);
-            PortfolioOutcome {
-                verdict: Verdict::Unknown(cause),
-                winner: None,
-                model: Vec::new(),
-                failed_assumptions: Vec::new(),
-                solvers,
-                proof: None,
-                proof_cnf: None,
-            }
-        }
-    })
+    let out = solve_portfolio_supervised(
+        cnf,
+        assumptions,
+        config,
+        RetryPolicy::new(config.seed, 0),
+        plan,
+    );
+    first_panic(&out.logs).map_or(Ok(out), Err)
 }
 
-fn lock<T>(m: &Mutex<T>) -> std::sync::MutexGuard<'_, T> {
-    m.lock().unwrap_or_else(|poisoned| poisoned.into_inner())
-}
-
-/// The outcome of a *supervised* portfolio race: like
-/// [`PortfolioOutcome`], plus the per-member supervision logs the `REC`
-/// lints audit. Supervised members do not park their solvers — each
-/// attempt rebuilds a fresh one, which is what makes retrying sound.
-#[derive(Debug)]
-pub struct SupervisedPortfolioOutcome {
-    /// The three-valued verdict; `Unknown` only when every member failed
-    /// beyond recovery (honest exhaustion, or retries spent).
-    pub verdict: Verdict<SolveResult>,
-    /// Index of the winning member; `None` when no member answered.
-    pub winner: Option<usize>,
-    /// The winner's model (empty on UNSAT or `Unknown`).
-    pub model: Vec<bool>,
-    /// The winner's failed-assumption set (empty on SAT or `Unknown`).
-    pub failed_assumptions: Vec<Lit>,
-    /// Per-member supervision logs (retry charges, breaker history,
-    /// caught panics), indexed like the members.
-    pub logs: Vec<Option<EntrantLog>>,
-    /// The retry policy the race ran under.
-    pub policy: RetryPolicy,
-}
-
-/// [`solve_portfolio_with_faults`] under supervision: every member runs
+/// Races a diversified portfolio under supervision: every member runs
 /// inside `catch_unwind` panic isolation with deterministic retry and a
 /// circuit breaker (see `sciduction::recover`).
 ///
 /// Recovery contract: an *injected* fault (worker death, spurious
 /// cancellation, forged budget exhaustion) is retried at a fresh
-/// [`retry_site`], so under any fault seed the race completes with the
-/// clean verdict whenever budget remains. *Honest* exhaustion (the real
-/// budget binding) is not retried — the supervised verdict under a tight
-/// budget equals the unsupervised one. Each attempt rebuilds its solver
-/// from scratch, so a retried member searches exactly as an
-/// uninterrupted first attempt would.
+/// [`retry_site`] while `policy` allows, so under any fault seed the race
+/// completes with the clean verdict whenever budget remains. *Honest*
+/// exhaustion (the real budget binding) is not retried — the supervised
+/// verdict under a tight budget equals the unsupervised one. Each attempt
+/// rebuilds its solver from scratch, so a retried member searches exactly
+/// as an uninterrupted first attempt would; the last attempt's solver is
+/// parked in [`PortfolioOutcome::solvers`].
 pub fn solve_portfolio_supervised(
     cnf: &Cnf,
     assumptions: &[Lit],
     config: &PortfolioConfig,
     policy: RetryPolicy,
     plan: Option<Arc<FaultPlan>>,
-) -> SupervisedPortfolioOutcome {
+) -> PortfolioOutcome {
     let members = config.members.max(1);
     let configs = diversified_configs(members, config.seed);
+    // Every attempt parks its solver here, win or lose, so the lints can
+    // audit the losers' clause databases and receipts after the race.
+    let parked: Vec<Mutex<Option<Solver>>> = (0..members).map(|_| Mutex::new(None)).collect();
+    let (parked_ref, plan_ref) = (&parked, plan.as_deref());
     let entrants: Vec<_> = configs
         .into_iter()
         .enumerate()
         .map(|(i, member_config)| {
-            let assumptions = assumptions.to_vec();
-            let budget = config.budget;
-            let plan = plan.clone();
             move |stop: &StopFlag, attempt: u32| {
-                // Per-attempt budget-exhaustion injection: each retry
-                // re-rolls the decision at its own site, so an injected
-                // exhaustion costs a retry, not the answer.
-                let site = retry_site(i as u64, attempt);
-                if let Some(p) = plan.as_deref() {
-                    if p.fires(FaultKind::BudgetExhaustion, site) {
-                        return Attempt::Faulted(Exhausted::Injected {
-                            seed: p.seed(),
-                            kind: FaultKind::BudgetExhaustion,
-                            site,
-                        });
-                    }
-                }
                 // A fresh solver per attempt: retried members restart
                 // from a clean clause database.
                 let mut solver = Solver::with_config(member_config);
+                if config.proof {
+                    solver.enable_proof_logging();
+                }
                 let vars: Vec<Var> = (0..cnf.num_vars).map(|_| solver.new_var()).collect();
                 for cl in &cnf.clauses {
                     let lits: Vec<Lit> = cl
@@ -367,18 +212,37 @@ pub fn solve_portfolio_supervised(
                         .collect();
                     solver.add_clause(lits);
                 }
-                solver.set_stop_flag(stop.handle());
-                match solver.solve_bounded_interruptible(&assumptions, &budget) {
-                    Some(Verdict::Known(r)) => {
-                        Attempt::Answer((r, solver.model(), solver.failed_assumptions().to_vec()))
+                // Per-attempt budget-exhaustion injection: each retry
+                // re-rolls the decision at its own site, so an injected
+                // exhaustion costs a retry, not the answer.
+                let site = retry_site(i as u64, attempt);
+                let outcome = match plan_ref.filter(|p| p.fires(FaultKind::BudgetExhaustion, site))
+                {
+                    Some(p) => Attempt::Faulted(solver.record_injected_exhaustion(
+                        p.seed(),
+                        FaultKind::BudgetExhaustion,
+                        site,
+                    )),
+                    None => {
+                        solver.set_stop_flag(stop.handle());
+                        match solver.solve_bounded_interruptible(assumptions, &config.budget) {
+                            Some(Verdict::Known(r)) => Attempt::Answer((
+                                r,
+                                solver.model(),
+                                solver.failed_assumptions().to_vec(),
+                            )),
+                            // Honest exhaustion: the budget is genuinely
+                            // spent, retrying would only re-spend it.
+                            Some(Verdict::Unknown(cause)) => Attempt::GaveUp(Some(cause)),
+                            // Cancelled: lost the race (or an injected
+                            // cancel, which the supervisor converts to a
+                            // retryable fault).
+                            None => Attempt::GaveUp(None),
+                        }
                     }
-                    // Honest exhaustion: the budget is genuinely spent,
-                    // retrying would only re-spend it.
-                    Some(Verdict::Unknown(cause)) => Attempt::GaveUp(Some(cause)),
-                    // Cancelled: lost the race (or an injected cancel,
-                    // which the supervisor converts to a retryable fault).
-                    None => Attempt::GaveUp(None),
-                }
+                };
+                *lock_ignoring_poison(&parked_ref[i]) = Some(solver);
+                outcome
             }
         })
         .collect();
@@ -388,27 +252,46 @@ pub fn solve_portfolio_supervised(
         supervisor = supervisor.with_fault_plan(Arc::clone(p));
     }
     let race = supervisor.race(entrants);
-    let cause = race.verdict_cause();
-    match race.win {
+    let solvers: Vec<Option<Solver>> = parked
+        .into_iter()
+        .map(|m| {
+            m.into_inner()
+                .unwrap_or_else(|poisoned| poisoned.into_inner())
+        })
+        .collect();
+    let (verdict, winner, model, failed_assumptions) = match race.win {
         Some(win) => {
             let (result, model, failed_assumptions) = win.value;
-            SupervisedPortfolioOutcome {
-                verdict: Verdict::Known(result),
-                winner: Some(win.winner),
+            (
+                Verdict::Known(result),
+                Some(win.winner),
                 model,
                 failed_assumptions,
-                logs: race.logs,
-                policy: race.policy,
-            }
+            )
         }
-        None => SupervisedPortfolioOutcome {
-            verdict: Verdict::Unknown(cause.unwrap_or(Exhausted::Cancelled)),
-            winner: None,
-            model: Vec::new(),
-            failed_assumptions: Vec::new(),
-            logs: race.logs,
-            policy: race.policy,
-        },
+        None => (
+            Verdict::Unknown(race.verdict_cause().unwrap_or(Exhausted::Cancelled)),
+            None,
+            Vec::new(),
+            Vec::new(),
+        ),
+    };
+    let (proof, proof_cnf) = match (verdict, winner) {
+        (Verdict::Known(SolveResult::Unsat), Some(w)) => solvers[w]
+            .as_ref()
+            .map_or((None, None), |s| (s.unsat_proof(), s.proof_cnf())),
+        _ => (None, None),
+    };
+    PortfolioOutcome {
+        verdict,
+        winner,
+        model,
+        failed_assumptions,
+        solvers,
+        proof,
+        proof_cnf,
+        logs: race.logs,
+        policy: race.policy,
     }
 }
 

@@ -28,7 +28,7 @@
 
 use crate::jobs::JobSpec;
 use crate::server::{ServedRecord, TranscriptEntry};
-use sciduction::exec::{FaultKind, FaultPlan};
+use sciduction::exec::{lock_ignoring_poison, FaultKind, FaultPlan};
 use sciduction::json::{self, Value};
 use sciduction::persist::{RecordLog, Recovery};
 use sciduction::{Budget, BudgetMeter, BudgetReceipt, Exhausted};
@@ -345,22 +345,20 @@ impl Wal {
 
     /// Appends one record; returns whether it is durable.
     pub fn record(&self, rec: &WalRecord) -> bool {
-        lock(&self.log).append(&rec.to_bytes()).unwrap_or(false)
+        lock_ignoring_poison(&self.log)
+            .append(&rec.to_bytes())
+            .unwrap_or(false)
     }
 
     /// Whether an injected durability fault has killed the writer.
     pub fn is_dead(&self) -> bool {
-        lock(&self.log).is_dead()
+        lock_ignoring_poison(&self.log).is_dead()
     }
 
     /// Forces appended records to the OS.
     pub fn sync(&self) -> io::Result<()> {
-        lock(&self.log).sync()
+        lock_ignoring_poison(&self.log).sync()
     }
-}
-
-fn lock<T>(m: &Mutex<T>) -> std::sync::MutexGuard<'_, T> {
-    m.lock().unwrap_or_else(|poisoned| poisoned.into_inner())
 }
 
 /// Decodes recovered frames into records. A frame that survived the

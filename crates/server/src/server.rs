@@ -16,7 +16,7 @@ use crate::protocol::{
     parse_request, render_done, render_error, render_error_detail, ErrorCode, Frame, FrameReader,
 };
 use crate::shard_exec::{run_sharded, Isolation, ShardExecError};
-use sciduction::exec::{panic_message, FairQueue, FaultPlan, Offer};
+use sciduction::exec::{lock_ignoring_poison, panic_message, FairQueue, FaultPlan, Offer};
 use sciduction::json::{self, Value};
 use sciduction::persist::DiskCacheTier;
 use sciduction::{Budget, BudgetMeter, BudgetReceipt};
@@ -344,7 +344,7 @@ impl Server {
     /// A snapshot of the protocol transcript (this run only; see
     /// [`Server::recovered_transcript`] for what the WAL replayed).
     pub fn transcript(&self) -> Vec<TranscriptEntry> {
-        lock(&self.shared.transcript).clone()
+        lock_ignoring_poison(&self.shared.transcript).clone()
     }
 
     /// The transcript entries recovered from the job WAL at startup
@@ -357,7 +357,7 @@ impl Server {
 
     /// A snapshot of the tenant admission accounts.
     pub fn accounts(&self) -> HashMap<String, BudgetReceipt> {
-        lock(&self.shared.tenants)
+        lock_ignoring_poison(&self.shared.tenants)
             .iter()
             .map(|(t, m)| (t.clone(), m.receipt()))
             .collect()
@@ -397,10 +397,6 @@ impl Drop for Server {
     }
 }
 
-fn lock<T>(m: &Mutex<T>) -> std::sync::MutexGuard<'_, T> {
-    m.lock().unwrap_or_else(|poisoned| poisoned.into_inner())
-}
-
 fn accept_loop(listener: &TcpListener, shared: &Arc<Shared>) {
     loop {
         let Ok((stream, _)) = listener.accept() else {
@@ -428,7 +424,7 @@ fn accept_loop(listener: &TcpListener, shared: &Arc<Shared>) {
 /// Sends one response line; a dead peer is not an error (the job already
 /// ran, the client just did not wait for the answer).
 fn send_line(conn: &Arc<Mutex<TcpStream>>, line: &str) {
-    let mut stream = lock(conn);
+    let mut stream = lock_ignoring_poison(conn);
     let _ = stream.write_all(line.as_bytes());
     let _ = stream.write_all(b"\n");
     let _ = stream.flush();
@@ -506,7 +502,7 @@ fn handle_frame(bytes: &[u8], conn: &Arc<Mutex<TcpStream>>, shared: &Arc<Shared>
             // Admission: an exhausted tenant account refuses the job
             // before any compute is spent on it.
             {
-                let mut tenants = lock(&shared.tenants);
+                let mut tenants = lock_ignoring_poison(&shared.tenants);
                 let meter = tenants
                     .entry(req.tenant.clone())
                     .or_insert_with(|| BudgetMeter::new(shared.tenant_budget));
@@ -533,7 +529,7 @@ fn handle_frame(bytes: &[u8], conn: &Arc<Mutex<TcpStream>>, shared: &Arc<Shared>
             // to follow its admit, whatever the worker races do.
             let seq = shared.job_seq.fetch_add(1, Ordering::Relaxed);
             let transcript_idx = {
-                let mut transcript = lock(&shared.transcript);
+                let mut transcript = lock_ignoring_poison(&shared.transcript);
                 transcript.push(TranscriptEntry {
                     id: req.id,
                     tenant: req.tenant.clone(),
@@ -623,7 +619,7 @@ fn shed_job(shared: &Arc<Shared>, job: &QueuedJob) {
     if let Some(wal) = &shared.wal {
         wal.record(&WalRecord::Shed { seq: job.seq });
     }
-    lock(&shared.transcript)[job.transcript_idx].admitted = false;
+    lock_ignoring_poison(&shared.transcript)[job.transcript_idx].admitted = false;
 }
 
 fn worker_loop(shared: &Arc<Shared>) {
@@ -645,7 +641,7 @@ fn worker_loop(shared: &Arc<Shared>) {
             Ok(Ok(output)) => {
                 // Settle what the job spent against the tenant account.
                 let settled = {
-                    let mut tenants = lock(&shared.tenants);
+                    let mut tenants = lock_ignoring_poison(&shared.tenants);
                     let meter = tenants
                         .entry(job.tenant.clone())
                         .or_insert_with(|| BudgetMeter::new(shared.tenant_budget));
@@ -664,7 +660,7 @@ fn worker_loop(shared: &Arc<Shared>) {
                     });
                 }
                 {
-                    let mut transcript = lock(&shared.transcript);
+                    let mut transcript = lock_ignoring_poison(&shared.transcript);
                     transcript[job.transcript_idx].served = Some(ServedRecord {
                         verdict: output.verdict.clone(),
                         receipt: output.receipt,
@@ -764,7 +760,7 @@ fn render_done_stats(id: u64, shared: &Arc<Shared>) -> String {
         ),
         (
             "tenants".to_string(),
-            Value::Int(lock(&shared.tenants).len() as i64),
+            Value::Int(lock_ignoring_poison(&shared.tenants).len() as i64),
         ),
         (
             "smt_cache".to_string(),
@@ -780,8 +776,8 @@ fn render_done_stats(id: u64, shared: &Arc<Shared>) -> String {
 }
 
 fn render_done_audit(id: u64, shared: &Arc<Shared>) -> String {
-    let entries = lock(&shared.transcript).clone();
-    let accounts: HashMap<String, BudgetReceipt> = lock(&shared.tenants)
+    let entries = lock_ignoring_poison(&shared.transcript).clone();
+    let accounts: HashMap<String, BudgetReceipt> = lock_ignoring_poison(&shared.tenants)
         .iter()
         .map(|(t, m)| (t.clone(), m.receipt()))
         .collect();

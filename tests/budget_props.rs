@@ -17,7 +17,10 @@ use sciduction::{Budget, BudgetMeter, BudgetReceipt, Exhausted, Verdict};
 use sciduction_gametime::{analyze, GameTimeConfig, MicroarchPlatform};
 use sciduction_hybrid::{synthesize_switching, systems, Grid, SwitchSynthConfig};
 use sciduction_ir::programs;
-use sciduction_ogis::{benchmarks, synthesize, SynthesisConfig, SynthesisOutcome};
+use sciduction_ogis::{
+    benchmarks, synthesize, synthesize_portfolio, ParallelSynthesisConfig, SynthesisConfig,
+    SynthesisOutcome,
+};
 use sciduction_rng::rngs::StdRng;
 use sciduction_rng::{Rng, SeedableRng};
 use sciduction_sat::{solve_portfolio, Cnf, PortfolioConfig, SolveResult};
@@ -195,6 +198,48 @@ fn starved_race_reports_the_same_cause_at_every_thread_count() {
         };
         let out = solve_portfolio(&cnf, &[], &config).expect("no member panics");
         assert_eq!(out.verdict, Verdict::Known(SolveResult::Unsat));
+    }
+}
+
+/// The `(cause, iterations)` of a `BudgetExhausted` outcome.
+fn exhaustion(outcome: &SynthesisOutcome) -> Option<(Exhausted, usize)> {
+    match outcome {
+        SynthesisOutcome::BudgetExhausted { cause, iterations } => Some((*cause, *iterations)),
+        _ => None,
+    }
+}
+
+#[test]
+fn starved_ogis_race_keeps_member_zeros_exhaustion_at_every_thread_count() {
+    // Three SMT checks cannot close the floor-average loop for any
+    // member: the race must settle on member 0's own outcome, as its
+    // direct run reports it.
+    let width = 3u32;
+    let (lib, mut oracle) = benchmarks::extra::average_floor(width);
+    let config = SynthesisConfig {
+        budget: Budget::with_steps(3),
+        ..SynthesisConfig::default()
+    };
+    let (direct, _) = synthesize(&lib, &mut oracle, &config);
+    let expected = exhaustion(&direct).expect("three steps cannot synthesize the average");
+    for threads in [1usize, 2, 4] {
+        let out = synthesize_portfolio(
+            &lib,
+            |_| benchmarks::extra::average_floor(width).1,
+            &config,
+            &ParallelSynthesisConfig {
+                threads,
+                ..ParallelSynthesisConfig::default()
+            },
+        )
+        .expect("no member panics");
+        assert_eq!(out.winner, None, "{threads} thread(s)");
+        assert_eq!(
+            exhaustion(&out.outcome),
+            Some(expected),
+            "{threads} thread(s): {:?}",
+            out.outcome
+        );
     }
 }
 

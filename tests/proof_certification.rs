@@ -3,13 +3,18 @@
 //! queries must carry a proof the independent checker accepts, at every
 //! thread count, and the PRF audit passes must stay clean on them.
 
+use sciduction::exec::{FaultKind, FaultPlan};
+use sciduction::recover::{retry_site, RetryPolicy};
 use sciduction_analysis::passes::{audit_sat_proof, audit_smt_certificate};
 use sciduction_analysis::Report;
 use sciduction_cfg::{path_formula, unroll, Dag};
 use sciduction_ir::programs;
 use sciduction_proof::{check_certificate, check_drat, SmtCertificate};
-use sciduction_sat::{solve_portfolio, Cnf, PortfolioConfig, SolveResult};
+use sciduction_sat::{
+    solve_portfolio, solve_portfolio_supervised, Cnf, PortfolioConfig, SolveResult,
+};
 use sciduction_smt::{CheckResult, Solver as SmtSolver};
+use std::sync::Arc;
 
 /// Pigeonhole CNF standing in for the fig10 mode-exclusion conflict.
 fn mode_exclusion(n: usize, m: usize) -> Cnf {
@@ -121,5 +126,42 @@ fn fig10_mode_exclusion_certifies_at_every_thread_count() {
             &mut report,
         );
         assert!(report.is_clean(), "threads={threads}: {report:?}");
+    }
+}
+
+#[test]
+fn supervised_fig10_mode_exclusion_certifies_after_a_killed_attempt() {
+    let cnf = mode_exclusion(6, 5);
+    // A seed that kills member 0's first attempt but not its first retry.
+    let seed = (1u64..)
+        .find(|&s| {
+            FaultPlan::decides(s, FaultKind::WorkerDeath, retry_site(0, 0))
+                && !FaultPlan::decides(s, FaultKind::WorkerDeath, retry_site(0, 1))
+        })
+        .expect("such a seed exists");
+    for threads in [1usize, 2, 4] {
+        let config = PortfolioConfig {
+            threads,
+            proof: true,
+            ..PortfolioConfig::default()
+        };
+        let plan = Arc::new(FaultPlan::targeting(seed, FaultKind::WorkerDeath));
+        let out =
+            solve_portfolio_supervised(&cnf, &[], &config, RetryPolicy::new(seed, 3), Some(plan));
+        assert_eq!(
+            out.verdict
+                .expect_known("unlimited default budget cannot exhaust"),
+            SolveResult::Unsat
+        );
+        if threads == 1 {
+            // The retry, not a sibling, answered.
+            assert_eq!(out.winner, Some(0));
+            assert_eq!(out.logs[0].as_ref().map(|log| log.attempts), Some(2));
+        }
+        let proof = out.proof.expect("proof accompanies supervised unsat");
+        let proof_cnf = out.proof_cnf.expect("proof CNF accompanies the proof");
+        let outcome = check_drat(&proof_cnf, &proof)
+            .unwrap_or_else(|e| panic!("threads={threads}: proof rejected: {e}"));
+        assert!(outcome.additions > 0, "refutation needs at least one step");
     }
 }

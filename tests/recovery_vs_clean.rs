@@ -34,8 +34,8 @@ use sciduction_ogis::{
 use sciduction_rng::rngs::StdRng;
 use sciduction_rng::{Rng, SeedableRng};
 use sciduction_sat::{
-    solve_portfolio_supervised, solve_portfolio_with_faults, Cnf, PortfolioConfig, SolveResult,
-    SupervisedPortfolioOutcome,
+    solve_portfolio_supervised, solve_portfolio_with_faults, Cnf, PortfolioConfig,
+    PortfolioOutcome, SolveResult,
 };
 use sciduction_smt::BvValue;
 use std::sync::Arc;
@@ -83,7 +83,7 @@ fn certify(cnf: &Cnf, model: &[bool]) -> bool {
 
 /// The `REC002`/`REC003`/`BUD` audit over every entrant's supervision
 /// log, using the supervisor's default breaker settings.
-fn audit_race_logs(out: &SupervisedPortfolioOutcome, tag: &str) {
+fn audit_race_logs(out: &PortfolioOutcome, tag: &str) {
     let mut r = Report::new();
     for log in out.logs.iter().flatten() {
         audit_entrant_log(
