@@ -11,6 +11,9 @@ cargo fmt --all -- --check
 echo "==> cargo clippy (all targets, warnings are errors)"
 cargo clippy --workspace --all-targets -- -D warnings
 
+echo "==> rustdoc (all workspace crates, warnings are errors)"
+RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps
+
 echo "==> tier-1: release build"
 cargo build --release --workspace
 

@@ -1221,9 +1221,9 @@ pub fn audit_guard_journal(journal: &GuardSearchJournal, pass: &'static str, rep
 ///   both.
 /// * `SUP002` — charges: each retry charge re-derives from
 ///   [`RetryPolicy::backoff`] under the log's seed, each watchdog
-///   charge equals [`WATCHDOG_KILL_CHARGE`], and the supervision
-///   receipt meters *exactly* the sum of the recorded charges as fuel
-///   (supervision charges nothing else, so `clock == fuel` too).
+///   charge equals [`sciduction::shard::WATCHDOG_KILL_CHARGE`], and the
+///   supervision receipt meters *exactly* the sum of the recorded charges
+///   as fuel (supervision charges nothing else, so `clock == fuel` too).
 /// * `SUP003` — settlement: the `winner`/`answer`/`cause` fields agree
 ///   with the log, a degradation cause is certified by the receipt and
 ///   matches a recorded give-up, and a retries-exhausted give-up is

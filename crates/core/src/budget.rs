@@ -529,7 +529,11 @@ impl BudgetReceipt {
         self.conflicts <= self.budget.conflicts
             && self.steps <= self.budget.steps
             && self.fuel <= self.budget.fuel
-            && self.clock == self.conflicts + self.steps + self.fuel
+            && self
+                .conflicts
+                .checked_add(self.steps)
+                .and_then(|sum| sum.checked_add(self.fuel))
+                == Some(self.clock)
     }
 
     /// True when `cause` is certified by this receipt: the claimed limit
@@ -691,6 +695,17 @@ mod tests {
         let mut drifted = honest;
         drifted.clock += 1; // clock decoupled from the counters
         assert!(!drifted.coherent());
+
+        // Counters whose sum overflows cannot equal any clock.
+        let wrapped = BudgetReceipt {
+            budget: Budget::UNLIMITED,
+            conflicts: u64::MAX,
+            steps: 1,
+            fuel: 1,
+            clock: 1,
+            cause: None,
+        };
+        assert!(!wrapped.coherent());
 
         // A claimed exhaustion that never happened.
         let early = Exhausted::Fuel { limit: 2, spent: 1 };

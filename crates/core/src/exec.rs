@@ -370,19 +370,9 @@ impl ParallelOracle {
         }
     }
 
-    /// An oracle sized by [`configured_threads`].
-    pub fn from_env() -> Self {
-        ParallelOracle::new(configured_threads())
-    }
-
     /// The worker count.
     pub fn threads(&self) -> usize {
         self.threads
-    }
-
-    /// Whether this oracle runs inline on the calling thread.
-    pub fn is_sequential(&self) -> bool {
-        self.threads == 1
     }
 
     /// Applies `f` to every item, in parallel when more than one worker is
@@ -498,11 +488,6 @@ impl Portfolio {
         Portfolio {
             threads: threads.max(1),
         }
-    }
-
-    /// A portfolio sized by [`configured_threads`].
-    pub fn from_env() -> Self {
-        Portfolio::new(configured_threads())
     }
 
     /// The worker count.

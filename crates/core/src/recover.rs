@@ -94,6 +94,137 @@ impl std::fmt::Display for JournalError {
 
 impl std::error::Error for JournalError {}
 
+/// Reads a v1 checkpoint journal: the `header` line, then one
+/// `key value` line per field, with blank lines skipped. Yields each
+/// field line with its 1-based number; a line without a space is a
+/// [`JournalError::Parse`] at that line. The three loop journals share
+/// this reader and differ only in their keys.
+///
+/// # Errors
+///
+/// [`JournalError::Parse`] at line 1 for an empty text or a header
+/// other than `header`.
+pub fn read_journal<'a>(
+    text: &'a str,
+    header: &str,
+) -> Result<impl Iterator<Item = Result<JournalLine<'a>, JournalError>> + 'a, JournalError> {
+    let mut lines = text.lines();
+    let found = lines.next().ok_or_else(|| JournalError::Parse {
+        line: 1,
+        reason: "empty journal".into(),
+    })?;
+    if found.trim() != header {
+        return Err(JournalError::Parse {
+            line: 1,
+            reason: format!("bad header {found:?}, expected {header:?}"),
+        });
+    }
+    Ok(lines.enumerate().filter_map(|(idx, raw)| {
+        let raw = raw.trim();
+        let number = idx + 2;
+        (!raw.is_empty()).then(|| match raw.split_once(' ') {
+            Some((key, value)) => Ok(JournalLine { number, key, value }),
+            None => Err(JournalError::Parse {
+                line: number,
+                reason: format!("expected `key value`, got {raw:?}"),
+            }),
+        })
+    }))
+}
+
+/// One `key value` line of a checkpoint journal (see [`read_journal`]).
+/// Its decoders build a [`JournalError::Parse`] naming this line, and
+/// only on failure.
+#[derive(Clone, Copy, Debug)]
+pub struct JournalLine<'a> {
+    /// 1-based line number.
+    pub number: usize,
+    /// The key: everything before the first space.
+    pub key: &'a str,
+    /// The value: everything after the first space.
+    pub value: &'a str,
+}
+
+impl JournalLine<'_> {
+    /// A [`JournalError::Parse`] at this line.
+    pub fn error(&self, reason: String) -> JournalError {
+        JournalError::Parse {
+            line: self.number,
+            reason,
+        }
+    }
+
+    /// The key, rejected as unknown.
+    pub fn unknown_key(&self) -> JournalError {
+        self.error(format!("unknown key {:?}", self.key))
+    }
+
+    /// Parses `raw`, part of this line, as a `T`; `what` names it in
+    /// the error.
+    pub fn parse<T: std::str::FromStr>(&self, raw: &str, what: &str) -> Result<T, JournalError>
+    where
+        T::Err: std::fmt::Display,
+    {
+        raw.parse()
+            .map_err(|e| self.error(format!("bad {what} {raw:?}: {e}")))
+    }
+
+    /// Parses `raw`, part of this line, as hexadecimal `u64` bits.
+    pub fn hex(&self, raw: &str, what: &str) -> Result<u64, JournalError> {
+        u64::from_str_radix(raw, 16).map_err(|e| self.error(format!("bad {what} {raw:?}: {e}")))
+    }
+
+    /// Parses the whole value as a `T`, named by the key in the error.
+    pub fn field<T: std::str::FromStr>(&self) -> Result<T, JournalError>
+    where
+        T::Err: std::fmt::Display,
+    {
+        self.parse(self.value, self.key)
+    }
+
+    /// Parses the value as exactly `N` whitespace-separated `T`s.
+    pub fn fields<T: std::str::FromStr, const N: usize>(&self) -> Result<[T; N], JournalError>
+    where
+        T::Err: std::fmt::Display,
+    {
+        let parsed: Vec<T> = self
+            .value
+            .split_whitespace()
+            .map(|word| self.parse(word, self.key))
+            .collect::<Result<_, _>>()?;
+        let got = parsed.len();
+        parsed
+            .try_into()
+            .map_err(|_| self.error(format!("expected {N} {} values, got {got}", self.key)))
+    }
+
+    /// Splits `raw`, part of this line, at the first `sep`.
+    pub fn split<'s>(&self, raw: &'s str, sep: &str) -> Result<(&'s str, &'s str), JournalError> {
+        raw.split_once(sep)
+            .ok_or_else(|| self.error(format!("expected {sep:?} in {raw:?}")))
+    }
+
+    /// Decodes `raw`, part of this line, as a comma-separated list (the
+    /// inverse of [`journal_list`]); an empty `raw` is the empty list.
+    pub fn list<T>(
+        &self,
+        raw: &str,
+        item: impl Fn(&str) -> Result<T, JournalError>,
+    ) -> Result<Vec<T>, JournalError> {
+        let raw = raw.trim();
+        if raw.is_empty() {
+            return Ok(Vec::new());
+        }
+        raw.split(',').map(|s| item(s.trim())).collect()
+    }
+}
+
+/// Encodes `items` as a comma-separated journal list, each written by
+/// `item` (the inverse of [`JournalLine::list`]).
+pub fn journal_list<T>(items: &[T], item: impl Fn(&T) -> String) -> String {
+    items.iter().map(item).collect::<Vec<_>>().join(",")
+}
+
 /// The deterministic fault site of attempt `attempt` at base site
 /// `site`: each retry re-rolls every [`FaultPlan`] decision at a fresh
 /// site (offset far past any real base site), so a fault that killed
@@ -392,7 +523,7 @@ pub enum Attempt<T> {
 
 /// A caught panic, as recorded in an [`EntrantLog`]: the attempt site it
 /// happened at and the payload's message (see
-/// [`panic_message`](crate::exec::panic_message)).
+/// [`panic_message`]).
 #[derive(Clone, PartialEq, Eq, Debug)]
 pub struct PanicNote {
     /// The [`retry_site`] of the panicking attempt.
@@ -490,8 +621,6 @@ pub struct Supervisor {
     threads: usize,
     policy: RetryPolicy,
     plan: Option<Arc<FaultPlan>>,
-    breaker_threshold: u32,
-    breaker_cooldown: u32,
 }
 
 impl Supervisor {
@@ -501,8 +630,6 @@ impl Supervisor {
             threads: threads.max(1),
             policy,
             plan: None,
-            breaker_threshold: DEFAULT_BREAKER_THRESHOLD,
-            breaker_cooldown: DEFAULT_BREAKER_COOLDOWN,
         }
     }
 
@@ -510,13 +637,6 @@ impl Supervisor {
     /// decisions are applied per attempt at [`retry_site`]s.
     pub fn with_fault_plan(mut self, plan: Arc<FaultPlan>) -> Self {
         self.plan = Some(plan);
-        self
-    }
-
-    /// Overrides the per-entrant breaker parameters.
-    pub fn with_breaker(mut self, threshold: u32, cooldown: u32) -> Self {
-        self.breaker_threshold = threshold.max(1);
-        self.breaker_cooldown = cooldown.max(1);
         self
     }
 
@@ -557,7 +677,7 @@ impl Supervisor {
     {
         let site = index as u64;
         let mut meter = BudgetMeter::new(self.policy.budget);
-        let mut breaker = CircuitBreaker::new(self.breaker_threshold, self.breaker_cooldown);
+        let mut breaker = CircuitBreaker::default();
         let mut retries = Vec::new();
         let mut panics: Vec<PanicNote> = Vec::new();
         let mut attempts = 0u32;
@@ -774,6 +894,33 @@ mod tests {
     use sciduction_rng::rngs::StdRng;
     use sciduction_rng::Rng;
     use std::sync::atomic::{AtomicUsize, Ordering};
+
+    #[test]
+    fn journal_reader_numbers_lines_and_round_trips_lists() {
+        let text = "demo v1\n\nlist 1,2,3\n  pair 4 5  \n";
+        let lines: Vec<_> = read_journal(text, "demo v1")
+            .expect("header matches")
+            .collect::<Result<_, _>>()
+            .expect("every line is `key value`");
+        assert_eq!(
+            lines.iter().map(|l| (l.number, l.key)).collect::<Vec<_>>(),
+            [(3, "list"), (4, "pair")]
+        );
+        let list: Vec<u64> = lines[0]
+            .list(lines[0].value, |s| lines[0].parse(s, "item"))
+            .unwrap();
+        assert_eq!(list, [1, 2, 3]);
+        let shown = journal_list(&list, |v| v.to_string());
+        assert_eq!(shown, lines[0].value);
+        assert_eq!(lines[1].fields::<u64, 2>(), Ok([4, 5]));
+        assert!(lines[0].list(" ", |_| Ok(())).unwrap().is_empty());
+        // Numbering counts the skipped blank line too.
+        let mut bare = read_journal("demo v1\n\nkeyonly\n", "demo v1").unwrap();
+        assert!(matches!(
+            bare.next(),
+            Some(Err(JournalError::Parse { line: 3, .. }))
+        ));
+    }
 
     // -- RetryPolicy property tests (satellite: purity, charge bound,
     //    attempt-0 immediacy) ------------------------------------------

@@ -10,7 +10,7 @@
 //! fitted model is bit-identical to an uninterrupted run because the
 //! totals it is fitted from are.
 
-use sciduction::recover::JournalError;
+use sciduction::recover::{read_journal, JournalError};
 
 /// The checkpoint journal of one measurement phase.
 #[derive(Clone, PartialEq, Eq, Debug, Default)]
@@ -44,50 +44,19 @@ impl MeasurementJournal {
     ///
     /// [`JournalError::Parse`] on any malformed line.
     pub fn parse(text: &str) -> Result<Self, JournalError> {
-        let mut lines = text.lines().enumerate();
-        let (_, header) = lines.next().ok_or(JournalError::Parse {
-            line: 1,
-            reason: "empty journal".into(),
-        })?;
-        if header.trim() != "gametime-journal v1" {
-            return Err(JournalError::Parse {
-                line: 1,
-                reason: format!("bad header {header:?}"),
-            });
-        }
         let mut journal = MeasurementJournal::default();
-        for (idx, raw) in lines {
-            let line = idx + 1;
-            let raw = raw.trim();
-            if raw.is_empty() {
-                continue;
-            }
-            let (key, rest) = raw.split_once(' ').ok_or_else(|| JournalError::Parse {
-                line,
-                reason: format!("expected `key value`, got {raw:?}"),
-            })?;
-            let field = |reason: String| JournalError::Parse { line, reason };
-            match key {
-                "seed" => {
-                    journal.seed = rest.parse().map_err(|e| field(format!("bad seed: {e}")))?;
-                }
-                "trials" => {
-                    journal.trials = rest
-                        .parse()
-                        .map_err(|e| field(format!("bad trials: {e}")))?;
-                }
+        for line in read_journal(text, "gametime-journal v1")? {
+            let line = line?;
+            match line.key {
+                "seed" => journal.seed = line.field()?,
+                "trials" => journal.trials = line.field()?,
                 "measurement" => {
-                    let (k, cycles) = rest
-                        .split_once(' ')
-                        .ok_or_else(|| field(format!("expected `index cycles`, got {rest:?}")))?;
-                    journal.completed.push((
-                        k.parse().map_err(|e| field(format!("bad index: {e}")))?,
-                        cycles
-                            .parse()
-                            .map_err(|e| field(format!("bad cycles: {e}")))?,
-                    ));
+                    let (k, cycles) = line.split(line.value, " ")?;
+                    journal
+                        .completed
+                        .push((line.parse(k, "index")?, line.parse(cycles, "cycles")?));
                 }
-                other => return Err(field(format!("unknown key {other:?}"))),
+                _ => return Err(line.unknown_key()),
             }
         }
         Ok(journal)
@@ -105,8 +74,15 @@ mod tests {
             trials: 60,
             completed: vec![(0, 120), (1, 95), (0, 120)],
         };
-        let parsed = MeasurementJournal::parse(&journal.serialize()).expect("own output parses");
-        assert_eq!(parsed, journal);
+        // The v1 wire text, pinned byte for byte.
+        let text = "gametime-journal v1\n\
+                    seed 27198\n\
+                    trials 60\n\
+                    measurement 0 120\n\
+                    measurement 1 95\n\
+                    measurement 0 120\n";
+        assert_eq!(journal.serialize(), text);
+        assert_eq!(MeasurementJournal::parse(text), Ok(journal));
     }
 
     #[test]

@@ -14,7 +14,7 @@
 
 use crate::hyperbox::HyperBox;
 use sciduction::budget::{Budget, BudgetReceipt};
-use sciduction::recover::JournalError;
+use sciduction::recover::{journal_list, read_journal, JournalError};
 
 /// The checkpoint journal of one guard-search run.
 #[derive(Clone, PartialEq, Eq, Debug)]
@@ -83,14 +83,18 @@ impl GuardSearchJournal {
 
     /// The budget receipt this journal certifies. The cause is `None`
     /// by construction: checkpoints are taken at round boundaries,
-    /// before any charge has been refused.
+    /// before any charge has been refused. A counter sum past `u64::MAX`
+    /// saturates the clock, which no coherent receipt can carry.
     pub fn receipt(&self) -> BudgetReceipt {
         BudgetReceipt {
             budget: self.budget,
             conflicts: self.conflicts,
             steps: self.steps,
             fuel: self.fuel,
-            clock: self.conflicts + self.steps + self.fuel,
+            clock: self
+                .conflicts
+                .saturating_add(self.steps)
+                .saturating_add(self.fuel),
             cause: None,
         }
     }
@@ -160,8 +164,13 @@ impl GuardSearchJournal {
         ));
         out.push_str(&format!("rounds {}\n", self.rounds));
         out.push_str(&format!("queries {}\n", self.oracle_queries));
+        let bits = |b: &u64| format!("{b:016x}");
         for (lo, hi) in &self.guards {
-            out.push_str(&format!("guard {} -> {}\n", bits(lo), bits(hi)));
+            out.push_str(&format!(
+                "guard {} -> {}\n",
+                journal_list(lo, bits),
+                journal_list(hi, bits)
+            ));
         }
         out
     }
@@ -172,109 +181,37 @@ impl GuardSearchJournal {
     ///
     /// [`JournalError::Parse`] on any malformed line.
     pub fn parse(text: &str) -> Result<Self, JournalError> {
-        let mut lines = text.lines().enumerate();
-        let (_, header) = lines.next().ok_or(JournalError::Parse {
-            line: 1,
-            reason: "empty journal".into(),
-        })?;
-        if header.trim() != "hybrid-journal v1" {
-            return Err(JournalError::Parse {
-                line: 1,
-                reason: format!("bad header {header:?}"),
-            });
-        }
         let mut journal = GuardSearchJournal::default();
-        for (idx, raw) in lines {
-            let line = idx + 1;
-            let raw = raw.trim();
-            if raw.is_empty() {
-                continue;
-            }
-            let (key, rest) = raw.split_once(' ').ok_or_else(|| JournalError::Parse {
-                line,
-                reason: format!("expected `key value`, got {raw:?}"),
-            })?;
-            let field = |reason: String| JournalError::Parse { line, reason };
-            match key {
-                "grid" => {
-                    journal.grid = u64::from_str_radix(rest, 16)
-                        .map_err(|e| field(format!("bad grid bits: {e}")))?;
-                }
+        for line in read_journal(text, "hybrid-journal v1")? {
+            let line = line?;
+            match line.key {
+                "grid" => journal.grid = line.hex(line.value, "grid bits")?,
                 "budget" => {
-                    let parts: Vec<&str> = rest.split_whitespace().collect();
-                    if parts.len() != 4 {
-                        return Err(field(format!("expected 4 budget limits, got {rest:?}")));
-                    }
-                    let lim = |s: &str, what: &str| {
-                        s.parse::<u64>()
-                            .map_err(|e| field(format!("bad {what} limit: {e}")))
-                    };
+                    let [conflicts, steps, fuel, deadline] = line.fields()?;
                     journal.budget = Budget {
-                        conflicts: lim(parts[0], "conflict")?,
-                        steps: lim(parts[1], "step")?,
-                        fuel: lim(parts[2], "fuel")?,
-                        deadline: lim(parts[3], "deadline")?,
+                        conflicts,
+                        steps,
+                        fuel,
+                        deadline,
                     };
                 }
                 "spent" => {
-                    let parts: Vec<&str> = rest.split_whitespace().collect();
-                    if parts.len() != 3 {
-                        return Err(field(format!("expected 3 spent counters, got {rest:?}")));
-                    }
-                    let n = |s: &str, what: &str| {
-                        s.parse::<u64>()
-                            .map_err(|e| field(format!("bad spent {what}: {e}")))
-                    };
-                    journal.conflicts = n(parts[0], "conflicts")?;
-                    journal.steps = n(parts[1], "steps")?;
-                    journal.fuel = n(parts[2], "fuel")?;
+                    [journal.conflicts, journal.steps, journal.fuel] = line.fields()?;
                 }
-                "rounds" => {
-                    journal.rounds = rest
-                        .parse()
-                        .map_err(|e| field(format!("bad rounds: {e}")))?;
-                }
-                "queries" => {
-                    journal.oracle_queries = rest
-                        .parse()
-                        .map_err(|e| field(format!("bad queries: {e}")))?;
-                }
+                "rounds" => journal.rounds = line.field()?,
+                "queries" => journal.oracle_queries = line.field()?,
                 "guard" => {
-                    let (lo, hi) = rest
-                        .split_once(" -> ")
-                        .ok_or_else(|| field(format!("expected `lo -> hi`, got {rest:?}")))?;
+                    let bound = |item: &str| line.hex(item, "bound bits");
+                    let (lo, hi) = line.split(line.value, " -> ")?;
                     journal
                         .guards
-                        .push((parse_bits(lo, line)?, parse_bits(hi, line)?));
+                        .push((line.list(lo, bound)?, line.list(hi, bound)?));
                 }
-                other => return Err(field(format!("unknown key {other:?}"))),
+                _ => return Err(line.unknown_key()),
             }
         }
         Ok(journal)
     }
-}
-
-fn bits(values: &[u64]) -> String {
-    values
-        .iter()
-        .map(|b| format!("{b:016x}"))
-        .collect::<Vec<_>>()
-        .join(",")
-}
-
-fn parse_bits(raw: &str, line: usize) -> Result<Vec<u64>, JournalError> {
-    let raw = raw.trim();
-    if raw.is_empty() {
-        return Ok(Vec::new());
-    }
-    raw.split(',')
-        .map(|s| {
-            u64::from_str_radix(s.trim(), 16).map_err(|e| JournalError::Parse {
-                line,
-                reason: format!("bad bound bits {s:?}: {e}"),
-            })
-        })
-        .collect()
 }
 
 #[cfg(test)]
@@ -305,7 +242,17 @@ mod tests {
             421,
             &journal.receipt(),
         );
-        let parsed = GuardSearchJournal::parse(&journal.serialize()).expect("own output parses");
+        // The v1 wire text, pinned byte for byte.
+        let text = "hybrid-journal v1\n\
+                    grid 3fb999999999999a\n\
+                    budget 18446744073709551615 100 18446744073709551615 18446744073709551615\n\
+                    spent 0 3 421\n\
+                    rounds 3\n\
+                    queries 421\n\
+                    guard 402e000000000000,fff0000000000000 -> 403e000000000000,7ff0000000000000\n\
+                    guard 3ff0000000000000,3ff0000000000000 -> 0000000000000000,0000000000000000\n";
+        assert_eq!(journal.serialize(), text);
+        let parsed = GuardSearchJournal::parse(text).expect("pinned text parses");
         assert_eq!(parsed, journal);
         assert_eq!(parsed.decode_guards()[0].hi[1], f64::INFINITY);
         assert!(parsed.decode_guards()[1].is_empty());
@@ -357,6 +304,15 @@ mod tests {
         };
         assert!(matches!(
             overspent.check(),
+            Err(JournalError::Divergence { .. })
+        ));
+        // A spend whose counter sum overflows is incoherent, not a panic.
+        let overflowing = GuardSearchJournal::parse(
+            "hybrid-journal v1\nspent 18446744073709551615 1 1\nrounds 1\n",
+        )
+        .expect("well-formed text parses");
+        assert!(matches!(
+            overflowing.check(),
             Err(JournalError::Divergence { .. })
         ));
     }

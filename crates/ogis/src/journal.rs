@@ -12,7 +12,7 @@
 //! the same artifact as an uninterrupted one because both compute the
 //! identical function of the identical example sequence.
 
-use sciduction::recover::JournalError;
+use sciduction::recover::{journal_list, read_journal, JournalError};
 use sciduction_smt::BvValue;
 
 /// The checkpoint journal of one CEGIS run: configuration echo plus the
@@ -38,42 +38,6 @@ pub struct CegisJournal {
     pub examples: Vec<(Vec<BvValue>, Vec<BvValue>)>,
 }
 
-fn values(vals: &[BvValue]) -> String {
-    vals.iter()
-        .map(|v| format!("{:x}/{}", v.as_u64(), v.width()))
-        .collect::<Vec<_>>()
-        .join(",")
-}
-
-fn parse_values(raw: &str, line: usize) -> Result<Vec<BvValue>, JournalError> {
-    if raw.is_empty() {
-        return Ok(Vec::new());
-    }
-    raw.split(',')
-        .map(|item| {
-            let (bits, width) = item.split_once('/').ok_or_else(|| JournalError::Parse {
-                line,
-                reason: format!("expected hex/width, got {item:?}"),
-            })?;
-            let bits = u64::from_str_radix(bits, 16).map_err(|e| JournalError::Parse {
-                line,
-                reason: format!("bad value bits {bits:?}: {e}"),
-            })?;
-            let width: u32 = width.parse().map_err(|e| JournalError::Parse {
-                line,
-                reason: format!("bad value width {width:?}: {e}"),
-            })?;
-            if !(1..=64).contains(&width) {
-                return Err(JournalError::Parse {
-                    line,
-                    reason: format!("width {width} outside 1..=64"),
-                });
-            }
-            Ok(BvValue::new(bits, width))
-        })
-        .collect()
-}
-
 impl CegisJournal {
     /// Serializes the journal to its line-oriented text format.
     pub fn serialize(&self) -> String {
@@ -84,8 +48,13 @@ impl CegisJournal {
         out.push_str(&format!("outputs {}\n", self.num_outputs));
         out.push_str(&format!("initial {}\n", self.initial_examples));
         out.push_str(&format!("iterations {}\n", self.iterations));
+        let value = |v: &BvValue| format!("{:x}/{}", v.as_u64(), v.width());
         for (ins, outs) in &self.examples {
-            out.push_str(&format!("example {} -> {}\n", values(ins), values(outs)));
+            out.push_str(&format!(
+                "example {} -> {}\n",
+                journal_list(ins, value),
+                journal_list(outs, value)
+            ));
         }
         out
     }
@@ -96,67 +65,31 @@ impl CegisJournal {
     ///
     /// [`JournalError::Parse`] on any malformed line.
     pub fn parse(text: &str) -> Result<Self, JournalError> {
-        let mut lines = text.lines().enumerate();
-        let (_, header) = lines.next().ok_or(JournalError::Parse {
-            line: 1,
-            reason: "empty journal".into(),
-        })?;
-        if header.trim() != "cegis-journal v1" {
-            return Err(JournalError::Parse {
-                line: 1,
-                reason: format!("bad header {header:?}"),
-            });
-        }
         let mut journal = CegisJournal::default();
-        for (idx, raw) in lines {
-            let line = idx + 1;
-            let raw = raw.trim();
-            if raw.is_empty() {
-                continue;
-            }
-            let (key, rest) = raw.split_once(' ').ok_or_else(|| JournalError::Parse {
-                line,
-                reason: format!("expected `key value`, got {raw:?}"),
-            })?;
-            let field = |reason: String| JournalError::Parse { line, reason };
-            match key {
-                "seed" => {
-                    journal.seed = rest.parse().map_err(|e| field(format!("bad seed: {e}")))?;
-                }
-                "width" => {
-                    journal.width = rest.parse().map_err(|e| field(format!("bad width: {e}")))?;
-                }
-                "inputs" => {
-                    journal.num_inputs = rest
-                        .parse()
-                        .map_err(|e| field(format!("bad inputs: {e}")))?;
-                }
-                "outputs" => {
-                    journal.num_outputs = rest
-                        .parse()
-                        .map_err(|e| field(format!("bad outputs: {e}")))?;
-                }
-                "initial" => {
-                    journal.initial_examples = rest
-                        .parse()
-                        .map_err(|e| field(format!("bad initial: {e}")))?;
-                }
-                "iterations" => {
-                    journal.iterations = rest
-                        .parse()
-                        .map_err(|e| field(format!("bad iterations: {e}")))?;
-                }
+        for line in read_journal(text, "cegis-journal v1")? {
+            let line = line?;
+            match line.key {
+                "seed" => journal.seed = line.field()?,
+                "width" => journal.width = line.field()?,
+                "inputs" => journal.num_inputs = line.field()?,
+                "outputs" => journal.num_outputs = line.field()?,
+                "initial" => journal.initial_examples = line.field()?,
+                "iterations" => journal.iterations = line.field()?,
                 "example" => {
-                    let (ins, outs) = rest
-                        .split_once(" -> ")
-                        .ok_or_else(|| field(format!("expected `ins -> outs`, got {rest:?}")))?;
+                    let value = |item: &str| {
+                        let (bits, width) = line.split(item, "/")?;
+                        let width: u32 = line.parse(width, "value width")?;
+                        if !(1..=64).contains(&width) {
+                            return Err(line.error(format!("width {width} outside 1..=64")));
+                        }
+                        Ok(BvValue::new(line.hex(bits, "value bits")?, width))
+                    };
+                    let (ins, outs) = line.split(line.value, " -> ")?;
                     journal
                         .examples
-                        .push((parse_values(ins, line)?, parse_values(outs, line)?));
+                        .push((line.list(ins, value)?, line.list(outs, value)?));
                 }
-                other => {
-                    return Err(field(format!("unknown key {other:?}")));
-                }
+                _ => return Err(line.unknown_key()),
             }
         }
         journal.check()?;
@@ -236,9 +169,18 @@ mod tests {
                 (vec![bv(0, 8), bv(1, 8)], vec![bv(0, 8)]),
             ],
         };
-        let text = journal.serialize();
-        let parsed = CegisJournal::parse(&text).expect("own output parses");
-        assert_eq!(parsed, journal);
+        // The v1 wire text, pinned byte for byte.
+        let text = "cegis-journal v1\n\
+                    seed 65261\n\
+                    width 8\n\
+                    inputs 2\n\
+                    outputs 1\n\
+                    initial 2\n\
+                    iterations 3\n\
+                    example 3/8,ff/8 -> 7/8\n\
+                    example 0/8,1/8 -> 0/8\n";
+        assert_eq!(journal.serialize(), text);
+        assert_eq!(CegisJournal::parse(text), Ok(journal));
     }
 
     #[test]

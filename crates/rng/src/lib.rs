@@ -6,7 +6,7 @@
 //! [`Rng::random`], and [`Rng::random_range`] — so call sites only swap the
 //! crate name in their imports.
 //!
-//! The generator behind [`StdRng`] is xoshiro256++ seeded through SplitMix64,
+//! The generator behind [`rngs::StdRng`] is xoshiro256++ seeded through SplitMix64,
 //! the standard seeding recipe recommended by the xoshiro authors. It is
 //! **not** cryptographically secure; it exists for reproducible test-case
 //! generation, randomized testing, and benchmark workloads.
