@@ -26,8 +26,12 @@ SCIDUCTION_THREADS=4 cargo test --workspace --release -q
 echo "==> repository benchmark self-tests (incl. BENCHMARK.json agreement)"
 cargo test -q --manifest-path scibench/Cargo.toml
 
+# In-process race stages run under `timeout` too: a race that never
+# settles fails the stage fast instead of hanging CI. Each bound sits far
+# above the stage's measured time (par_vs_seq ~16 s, one fault-matrix
+# cell ~4 s, the soak ~3 s, one recovery sweep ~1 s on 2 cores, release).
 echo "==> differential suite: parallel vs sequential equivalence"
-cargo test --release -p sciduction-suite --test par_vs_seq -q
+timeout 300 cargo test --release -p sciduction-suite --test par_vs_seq -q
 
 echo "==> budget properties (refuse-at-limit, ample ≡ unlimited)"
 cargo test --release -p sciduction-suite --test budget_props -q
@@ -37,18 +41,18 @@ for fault_seed in 1 2 3 4; do
   for threads in 1 4; do
     echo "    SCIDUCTION_FAULT_SEED=$fault_seed SCIDUCTION_THREADS=$threads"
     SCIDUCTION_FAULT_SEED=$fault_seed SCIDUCTION_THREADS=$threads \
-      cargo test --release -p sciduction-suite --test faults_vs_clean -q
+      timeout 120 cargo test --release -p sciduction-suite --test faults_vs_clean -q
   done
 done
 
 echo "==> portfolio soak (10k races via SCIDUCTION_SOAK, release only)"
-SCIDUCTION_SOAK=10000 cargo test --release -p sciduction-sat --test portfolio_stress -q
+SCIDUCTION_SOAK=10000 timeout 120 cargo test --release -p sciduction-sat --test portfolio_stress -q
 
 echo "==> recovery sweep: supervised faults + kill-and-resume bit identity"
 for retries in 1 3 5; do
   echo "    SCIDUCTION_RETRIES=$retries"
   SCIDUCTION_RETRIES=$retries \
-    cargo test --release -p sciduction-suite --test recovery_vs_clean -q
+    timeout 120 cargo test --release -p sciduction-suite --test recovery_vs_clean -q
 done
 
 echo "==> scilint (cross-layer artifact validation, incl. recovery+proof suites)"

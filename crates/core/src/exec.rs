@@ -1,5 +1,5 @@
-//! Work-scheduling layer: scoped-thread fan-out, solver portfolios with
-//! first-winner cancellation, and a concurrent memoized query cache.
+//! Work-scheduling layer: scoped-thread fan-out, the stop flag that
+//! cancels portfolio races, and a concurrent memoized query cache.
 //!
 //! Everything here is std-only — scoped threads, channels-free index
 //! stealing over atomics, and sharded mutex maps — honoring the
@@ -297,20 +297,10 @@ pub enum ExecError {
     /// instead of unwinding or hanging.
     WorkerPanicked {
         /// Index of the failed unit: the worker slot for
-        /// [`ParallelOracle::map`], the entrant for [`Portfolio::race`].
+        /// [`ParallelOracle::map`], the entrant for a race (reported by
+        /// [`first_panic`](crate::recover::first_panic)).
         worker: usize,
         /// The stringified panic payload.
-        message: String,
-    },
-    /// A supervised worker kept failing (panics or injected faults)
-    /// until its retry policy gave up (see `sciduction::recover`).
-    RetriesExhausted {
-        /// Index of the failed unit.
-        worker: usize,
-        /// Attempts made, the initial one included.
-        attempts: u32,
-        /// The last failure's message (a panic payload when one was
-        /// caught, otherwise the fault cause).
         message: String,
     },
 }
@@ -320,16 +310,6 @@ impl fmt::Display for ExecError {
         match self {
             ExecError::WorkerPanicked { worker, message } => {
                 write!(f, "worker {worker} panicked: {message}")
-            }
-            ExecError::RetriesExhausted {
-                worker,
-                attempts,
-                message,
-            } => {
-                write!(
-                    f,
-                    "worker {worker} failed {attempts} supervised attempt(s); last: {message}"
-                )
             }
         }
     }
@@ -453,153 +433,6 @@ impl ParallelOracle {
             .map(|s| s.expect("every index claimed exactly once"))
             .collect())
     }
-}
-
-/// The winning entrant of a portfolio race.
-#[derive(Clone, PartialEq, Eq, Debug)]
-pub struct RaceWin<T> {
-    /// Index of the entrant that answered first.
-    pub winner: usize,
-    /// The answer it produced.
-    pub value: T,
-}
-
-/// Races diversified solver instances on one query, cancelling the losers
-/// as soon as any entrant answers.
-///
-/// Each entrant receives a shared [`StopFlag`]; well-behaved entrants
-/// poll it at their natural yield points (e.g. the CDCL decision loop)
-/// and return `None` once it trips. An entrant returning `Some` answer
-/// records itself as the winner (first writer wins) and trips the flag.
-///
-/// This is the bare race machinery. Fault injection, retry and
-/// degradation live one layer up, in
-/// [`Supervisor::race`](crate::recover::Supervisor::race), which every
-/// engine portfolio runs through (an unsupervised race is a supervised
-/// one allowing zero retries).
-#[derive(Clone, Debug)]
-pub struct Portfolio {
-    threads: usize,
-}
-
-impl Portfolio {
-    /// A portfolio scheduler with `threads` workers (clamped to ≥ 1).
-    pub fn new(threads: usize) -> Self {
-        Portfolio {
-            threads: threads.max(1),
-        }
-    }
-
-    /// The worker count.
-    pub fn threads(&self) -> usize {
-        self.threads
-    }
-
-    /// Runs `entrants` to the first answer.
-    ///
-    /// Returns `Ok(None)` when every entrant gave up (returned `None`
-    /// on its own, without being cancelled by a winner). At one thread
-    /// the entrants run in index order and the race is deterministic:
-    /// the winner is the lowest-indexed entrant that answers, and later
-    /// entrants are never started.
-    pub fn race<T, F>(&self, entrants: Vec<F>) -> Result<Option<RaceWin<T>>, ExecError>
-    where
-        T: Send,
-        F: FnOnce(&StopFlag) -> Option<T> + Send,
-    {
-        let stop = StopFlag::new();
-        let n = entrants.len();
-        if self.threads == 1 || n <= 1 {
-            for (i, entrant) in entrants.into_iter().enumerate() {
-                match panic::catch_unwind(AssertUnwindSafe(|| entrant(&stop))) {
-                    Ok(Some(value)) => {
-                        stop.stop();
-                        return Ok(Some(RaceWin { winner: i, value }));
-                    }
-                    Ok(None) => {}
-                    Err(payload) => {
-                        return Err(ExecError::WorkerPanicked {
-                            worker: i,
-                            message: panic_message(payload.as_ref()),
-                        })
-                    }
-                }
-            }
-            return Ok(None);
-        }
-
-        let workers = self.threads.min(n);
-        let next = AtomicUsize::new(0);
-        let win: Mutex<Option<RaceWin<T>>> = Mutex::new(None);
-        let fault: Mutex<Option<ExecError>> = Mutex::new(None);
-        let entrants: Vec<Mutex<Option<F>>> =
-            entrants.into_iter().map(|e| Mutex::new(Some(e))).collect();
-        let (stop_ref, win_ref, fault_ref, entrants_ref, next) =
-            (&stop, &win, &fault, &entrants, &next);
-
-        // Panics are caught *inside* each worker, which then trips the
-        // stop flag itself. Detecting them only at join time would
-        // deadlock: joins run in spawn order, and an earlier worker may
-        // be spinning on a flag only the panic path would ever set.
-        std::thread::scope(|s| {
-            for _ in 0..workers {
-                s.spawn(move || loop {
-                    if stop_ref.is_stopped() {
-                        break;
-                    }
-                    let i = next.fetch_add(1, Ordering::Relaxed);
-                    if i >= n {
-                        break;
-                    }
-                    let Some(entrant) = take_entrant(&entrants_ref[i]) else {
-                        continue;
-                    };
-                    match panic::catch_unwind(AssertUnwindSafe(|| entrant(stop_ref))) {
-                        Ok(Some(value)) => {
-                            // Record-then-cancel: the answer is safely
-                            // stored before losers are told to stop, so
-                            // cancellation can never lose it.
-                            let mut slot = lock_ignoring_poison(win_ref);
-                            if slot.is_none() {
-                                *slot = Some(RaceWin { winner: i, value });
-                            }
-                            drop(slot);
-                            stop_ref.stop();
-                            break;
-                        }
-                        Ok(None) => {}
-                        Err(payload) => {
-                            let mut slot = lock_ignoring_poison(fault_ref);
-                            if slot.is_none() {
-                                *slot = Some(ExecError::WorkerPanicked {
-                                    worker: i,
-                                    message: panic_message(payload.as_ref()),
-                                });
-                            }
-                            drop(slot);
-                            stop_ref.stop();
-                            break;
-                        }
-                    }
-                });
-            }
-        });
-        // A lost entrant is reported even when a sibling answered: a
-        // panicking portfolio member means the diversification setup is
-        // broken, and hiding it behind the winner would mask the bug.
-        if let Some(e) = lock_ignoring_poison(&fault).take() {
-            return Err(e);
-        }
-        let winner = lock_ignoring_poison(&win).take();
-        Ok(winner)
-    }
-}
-
-/// Takes an entrant out of its slot; a slot poisoned by a panicking
-/// sibling yields its inner state unchanged (the entrant, a plain
-/// `FnOnce`, cannot be left logically broken by an unwind elsewhere).
-fn take_entrant<F>(slot: &Mutex<Option<F>>) -> Option<F> {
-    lock_ignoring_poison(slot).take()
 }
 
 /// Locks `m`, recovering the guard from a poisoned mutex. Every shared
@@ -1048,7 +881,7 @@ mod tests {
     use crate::recover::{Attempt, RetryPolicy, Supervisor};
 
     /// A boxed race entrant, for tests mixing closure bodies in one vec.
-    type BoxedEntrant<'a> = Box<dyn FnOnce(&StopFlag) -> Option<u32> + Send + 'a>;
+    type BoxedEntrant<'a> = Box<dyn Fn(&StopFlag, u32) -> Attempt<u32> + Send + Sync + 'a>;
 
     #[test]
     fn parse_threads_accepts_positive_and_rejects_junk() {
@@ -1093,31 +926,37 @@ mod tests {
     fn sequential_race_prefers_lowest_index_and_skips_the_rest() {
         let started = AtomicUsize::new(0);
         let entrants: Vec<BoxedEntrant<'_>> = vec![
-            Box::new(|_: &StopFlag| {
+            Box::new(|_: &StopFlag, _: u32| {
                 started.fetch_add(1, Ordering::Relaxed);
-                None
+                Attempt::GaveUp(None)
             }),
-            Box::new(|_: &StopFlag| {
+            Box::new(|_: &StopFlag, _: u32| {
                 started.fetch_add(1, Ordering::Relaxed);
-                Some(42)
+                Attempt::Answer(42)
             }),
-            Box::new(|_: &StopFlag| {
+            Box::new(|_: &StopFlag, _: u32| {
                 started.fetch_add(1, Ordering::Relaxed);
-                Some(99)
+                Attempt::Answer(99)
             }),
         ];
-        let win = Portfolio::new(1).race(entrants).unwrap().unwrap();
+        let race = Supervisor::new(1, RetryPolicy::new(0, 0)).race(entrants);
+        let win = race.win.unwrap();
         assert_eq!(win.winner, 1);
         assert_eq!(win.value, 42);
         assert_eq!(started.load(Ordering::Relaxed), 2, "entrant 2 never ran");
+        assert!(race.logs[2].is_none(), "an unstarted entrant has no log");
     }
 
     #[test]
     fn parallel_race_records_exactly_one_winner() {
         for _ in 0..50 {
-            let win = Portfolio::new(4)
-                .race((0..8).map(|i| move |_: &StopFlag| Some(i)).collect())
-                .unwrap()
+            let win = Supervisor::new(4, RetryPolicy::new(0, 0))
+                .race(
+                    (0..8)
+                        .map(|i| move |_: &StopFlag, _: u32| Attempt::Answer(i))
+                        .collect(),
+                )
+                .win
                 .expect("some entrant answers");
             assert_eq!(win.value, win.winner);
         }
@@ -1126,10 +965,12 @@ mod tests {
     #[test]
     fn race_with_no_answers_returns_none() {
         for threads in [1, 4] {
-            let out = Portfolio::new(threads)
-                .race::<u32, _>((0..6).map(|_| |_: &StopFlag| None).collect())
-                .unwrap();
-            assert!(out.is_none(), "threads={threads}");
+            let out = Supervisor::new(threads, RetryPolicy::new(0, 0)).race::<u32, _>(
+                (0..6)
+                    .map(|_| |_: &StopFlag, _: u32| Attempt::GaveUp(None))
+                    .collect(),
+            );
+            assert!(out.win.is_none(), "threads={threads}");
         }
     }
 
@@ -1139,18 +980,21 @@ mod tests {
         // Termination of this test is itself the assertion.
         let entrants: Vec<BoxedEntrant<'_>> = (0..4)
             .map(|i| {
-                Box::new(move |stop: &StopFlag| {
+                Box::new(move |stop: &StopFlag, _: u32| {
                     if i == 0 {
-                        return Some(7u32);
+                        return Attempt::Answer(7u32);
                     }
                     while !stop.is_stopped() {
                         std::thread::yield_now();
                     }
-                    None
+                    Attempt::GaveUp(None)
                 }) as BoxedEntrant<'_>
             })
             .collect();
-        let win = Portfolio::new(4).race(entrants).unwrap().unwrap();
+        let win = Supervisor::new(4, RetryPolicy::new(0, 0))
+            .race(entrants)
+            .win
+            .unwrap();
         assert_eq!(win.value, 7);
     }
 

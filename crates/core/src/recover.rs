@@ -25,8 +25,7 @@
 
 use crate::budget::{Budget, BudgetMeter, BudgetReceipt, Exhausted};
 use crate::exec::{
-    lock_ignoring_poison, panic_message, ExecError, FaultKind, FaultPlan, ParallelOracle,
-    Portfolio, RaceWin, StopFlag,
+    lock_ignoring_poison, panic_message, ExecError, FaultKind, FaultPlan, ParallelOracle, StopFlag,
 };
 use sciduction_rng::{RngCore, SeedableRng, Xoshiro256PlusPlus};
 use std::panic::{self, AssertUnwindSafe};
@@ -560,6 +559,15 @@ pub struct EntrantLog {
     pub panics: Vec<PanicNote>,
 }
 
+/// The winning entrant of a portfolio race.
+#[derive(Clone, PartialEq, Eq, Debug)]
+pub struct RaceWin<T> {
+    /// Index of the entrant that answered first.
+    pub winner: usize,
+    /// The answer it produced.
+    pub value: T,
+}
+
 /// The result of a supervised race: the win (if any entrant answered)
 /// plus one [`EntrantLog`] per *started* entrant (`None` for entrants a
 /// sequential race never reached).
@@ -574,19 +582,35 @@ pub struct SupervisedRace<T> {
     pub policy: RetryPolicy,
 }
 
+/// The index of the parked cause that settles a race no entrant
+/// answered: the lowest-indexed cause that is not `Cancelled`, falling
+/// back to the lowest-indexed `Cancelled` one. `None` entries (entrants
+/// that never started or parked nothing) are skipped. Pure in the cause
+/// list, so the settlement is the same at every thread count; the
+/// in-process race and `race_shards` both settle through it.
+pub fn settling_index(causes: impl IntoIterator<Item = Option<Exhausted>>) -> Option<usize> {
+    let mut cancelled = None;
+    for (i, cause) in causes.into_iter().enumerate() {
+        match cause {
+            Some(Exhausted::Cancelled) => {
+                cancelled.get_or_insert(i);
+            }
+            Some(_) => return Some(i),
+            None => {}
+        }
+    }
+    cancelled
+}
+
 impl<T> SupervisedRace<T> {
     /// The log of the entrant whose parked cause settles a race no
-    /// entrant answered: the lowest-indexed one parking a non-`Cancelled`
-    /// cause, falling back to the lowest-indexed `Cancelled` one —
-    /// deterministic at every thread count.
+    /// entrant answered (see [`settling_index`]).
     pub fn settling_log(&self) -> Option<&EntrantLog> {
         if self.win.is_some() {
             return None;
         }
-        let parked = || self.logs.iter().flatten().filter(|log| log.cause.is_some());
-        parked()
-            .find(|log| log.cause != Some(Exhausted::Cancelled))
-            .or_else(|| parked().next())
+        let causes = self.logs.iter().map(|log| log.as_ref()?.cause);
+        self.logs[settling_index(causes)?].as_ref()
     }
 
     /// The race's exhaustion cause when no entrant answered: the cause
@@ -608,10 +632,10 @@ pub fn first_panic(logs: &[Option<EntrantLog>]) -> Option<ExecError> {
     })
 }
 
-/// Supervises portfolio entrants and oracle workers: panic isolation,
-/// deterministic retry with metered backoff, and per-entrant circuit
-/// breakers, optionally under a seeded [`FaultPlan`] whose entrant-level
-/// decisions are re-rolled per attempt at [`retry_site`]s.
+/// Supervises portfolio entrants: panic isolation, deterministic retry
+/// with metered backoff, and per-entrant circuit breakers, optionally
+/// under a seeded [`FaultPlan`] whose entrant-level decisions are
+/// re-rolled per attempt at [`retry_site`]s.
 ///
 /// This is the one in-process race every engine portfolio runs through:
 /// an unsupervised race is a supervised race whose policy allows zero
@@ -638,16 +662,6 @@ impl Supervisor {
     pub fn with_fault_plan(mut self, plan: Arc<FaultPlan>) -> Self {
         self.plan = Some(plan);
         self
-    }
-
-    /// The worker count.
-    pub fn threads(&self) -> usize {
-        self.threads
-    }
-
-    /// The retry policy.
-    pub fn policy(&self) -> RetryPolicy {
-        self.policy
     }
 
     /// The entrant-level fault this plan injects at `attempt_site`, if
@@ -800,91 +814,40 @@ impl Supervisor {
     /// Each entrant is a *reusable* closure `(stop, attempt) →`
     /// [`Attempt`] — it must rebuild any engine state per attempt, which
     /// is what makes retrying a panicked or killed attempt sound. The
-    /// race itself reuses [`Portfolio::race`]'s record-then-cancel
-    /// machinery; fault decisions happen inside supervision, where they
-    /// can be retried.
+    /// race runs on [`ParallelOracle::map`]: an entrant claimed after a
+    /// winner tripped the stop flag is never started (its log is
+    /// `None`), so at one thread the winner is the lowest-indexed
+    /// entrant that answers. A panic never cancels siblings: supervision
+    /// turns it into a parked fault, and the race goes on.
     pub fn race<T, F>(&self, entrants: Vec<F>) -> SupervisedRace<T>
     where
         T: Send,
-        F: Fn(&StopFlag, u32) -> Attempt<T> + Send + Sync,
+        F: Fn(&StopFlag, u32) -> Attempt<T> + Sync,
     {
-        let n = entrants.len();
-        let logs: Vec<Mutex<Option<EntrantLog>>> = (0..n).map(|_| Mutex::new(None)).collect();
-        let (entrants_ref, logs_ref) = (&entrants, &logs);
-        let racers: Vec<_> = (0..n)
-            .map(|i| {
-                move |stop: &StopFlag| {
-                    let (answer, log) = self.supervise_one(i, &entrants_ref[i], stop);
-                    *lock_ignoring_poison(&logs_ref[i]) = Some(log);
-                    answer
+        let stop = StopFlag::new();
+        let win: Mutex<Option<RaceWin<T>>> = Mutex::new(None);
+        let logs = ParallelOracle::new(self.threads)
+            .map(&entrants, |i, entrant| {
+                if stop.is_stopped() {
+                    return None;
                 }
+                let (answer, log) = self.supervise_one(i, entrant, &stop);
+                if let Some(value) = answer {
+                    // Record-then-cancel: the answer is stored before
+                    // losers are told to stop, so cancellation cannot
+                    // lose it.
+                    lock_ignoring_poison(&win).get_or_insert(RaceWin { winner: i, value });
+                    stop.stop();
+                }
+                Some(log)
             })
-            .collect();
-        let win = Portfolio::new(self.threads)
-            .race(racers)
             .expect("supervised entrants isolate panics");
+        let win = lock_ignoring_poison(&win).take();
         SupervisedRace {
             win,
-            logs: logs
-                .into_iter()
-                .map(|slot| lock_ignoring_poison(&slot).take())
-                .collect(),
+            logs,
             policy: self.policy,
         }
-    }
-
-    /// [`ParallelOracle::map`] under supervision: a panicking (or
-    /// plan-killed) item computation is retried up to the policy's
-    /// limit; only when every attempt is lost does the map fail, with
-    /// [`ExecError::RetriesExhausted`] naming the item and the last
-    /// failure's message. Results keep item order.
-    ///
-    /// # Errors
-    ///
-    /// [`ExecError::RetriesExhausted`] for the lowest-indexed item whose
-    /// every supervised attempt was lost.
-    pub fn map<T, R, F>(&self, items: &[T], f: F) -> Result<Vec<R>, ExecError>
-    where
-        T: Sync,
-        R: Send,
-        F: Fn(usize, &T) -> R + Sync,
-    {
-        let oracle = ParallelOracle::new(self.threads);
-        let supervised = oracle.map(items, |i, item| {
-            let site = i as u64;
-            let mut attempts = 0u32;
-            let mut last = String::new();
-            for attempt in 0..=self.policy.max_retries {
-                let attempt_site = retry_site(site, attempt);
-                if let Some(plan) = self.plan.as_deref() {
-                    if plan.fires(FaultKind::WorkerDeath, attempt_site) {
-                        attempts += 1;
-                        last = format!("injected worker-death at site {attempt_site}");
-                        continue;
-                    }
-                }
-                attempts += 1;
-                match panic::catch_unwind(AssertUnwindSafe(|| f(i, item))) {
-                    Ok(value) => return Ok(value),
-                    Err(payload) => last = panic_message(payload.as_ref()),
-                }
-            }
-            Err((attempts, last))
-        })?;
-        let mut out = Vec::with_capacity(items.len());
-        for (i, result) in supervised.into_iter().enumerate() {
-            match result {
-                Ok(value) => out.push(value),
-                Err((attempts, message)) => {
-                    return Err(ExecError::RetriesExhausted {
-                        worker: i,
-                        attempts,
-                        message,
-                    })
-                }
-            }
-        }
-        Ok(out)
     }
 }
 
@@ -1231,41 +1194,17 @@ mod tests {
     }
 
     #[test]
-    fn supervised_map_retries_panics_and_names_the_site() {
-        let sup = Supervisor::new(2, RetryPolicy::new(2, 2));
-        let flaky = AtomicUsize::new(0);
-        let got = sup
-            .map(&[10u32, 20, 30], |_, &x| {
-                if x == 20 && flaky.fetch_add(1, Ordering::Relaxed) == 0 {
-                    panic!("transient oracle failure");
-                }
-                x * 2
-            })
-            .expect("one retry suffices");
-        assert_eq!(got, vec![20, 40, 60]);
-
-        // Permanent failure: the error names the item and carries the
-        // payload message, not an opaque marker.
-        let err = sup
-            .map(&[1u32, 2], |_, &x| {
-                if x == 2 {
-                    panic!("item {x} is poisoned");
-                }
-                x
-            })
-            .unwrap_err();
-        match err {
-            ExecError::RetriesExhausted {
-                worker,
-                attempts,
-                message,
-            } => {
-                assert_eq!(worker, 1);
-                assert_eq!(attempts, 3);
-                assert!(message.contains("item 2 is poisoned"), "message: {message}");
-            }
-            other => panic!("unexpected error {other:?}"),
-        }
+    fn settling_index_prefers_the_lowest_non_cancelled_cause() {
+        let conflicts = Exhausted::Conflicts { limit: 1, spent: 1 };
+        let causes = [
+            Some(Exhausted::Cancelled),
+            None,
+            Some(Exhausted::Faulted { site: 2 }),
+            Some(conflicts),
+        ];
+        assert_eq!(settling_index(causes), Some(2));
+        assert_eq!(settling_index([None, Some(Exhausted::Cancelled)]), Some(1));
+        assert_eq!(settling_index([None, None]), None);
     }
 
     #[test]

@@ -2,7 +2,7 @@
 //! crash-contained **subprocesses** under a supervising race
 //! (DESIGN.md §4.19).
 //!
-//! [`Portfolio::race`](crate::exec::Portfolio::race) contains a panic;
+//! [`Supervisor::race`](crate::recover::Supervisor::race) contains a panic;
 //! it cannot contain an abort, a runaway allocation, or a scheduler
 //! wedge — any of those takes the whole process, and with it every
 //! other tenant's in-flight work. This module moves that blast radius
@@ -49,7 +49,7 @@
 use crate::budget::{BudgetMeter, BudgetReceipt, Exhausted};
 use crate::exec::{FaultKind, FaultPlan};
 use crate::persist::{crc32, encode_frame, FRAME_HEADER, MAX_RECORD};
-use crate::recover::{retry_site, RetryPolicy};
+use crate::recover::{retry_site, settling_index, RetryPolicy};
 use std::io::{self, Read, Write};
 use std::path::PathBuf;
 use std::process::{Child, Command, Stdio};
@@ -697,28 +697,24 @@ impl Supervision<'_> {
 /// logged, every restart and watchdog kill is charged, and a race with
 /// no survivors settles with a certified cause instead of wedging.
 pub fn race_shards(commands: &[ShardCommand], config: &ShardConfig) -> ShardRace {
-    let mut sup = {
-        let (tx, _rx_placeholder) = mpsc::channel();
-        Supervision {
-            commands,
-            config,
-            meter: BudgetMeter::new(config.retry.budget),
-            events: Vec::new(),
-            slots: Vec::new(),
-            tx,
-        }
-    };
     let (tx, rx) = mpsc::channel();
-    sup.tx = tx;
-    for _ in commands {
-        sup.slots.push(Slot {
-            attempt: 0,
-            state: SlotState::GaveUp,
-            child: None,
-            last_seen: Instant::now(),
-            cause: None,
-        });
-    }
+    let mut sup = Supervision {
+        commands,
+        config,
+        meter: BudgetMeter::new(config.retry.budget),
+        events: Vec::new(),
+        slots: commands
+            .iter()
+            .map(|_| Slot {
+                attempt: 0,
+                state: SlotState::GaveUp,
+                child: None,
+                last_seen: Instant::now(),
+                cause: None,
+            })
+            .collect(),
+        tx,
+    };
     for shard in 0..commands.len() {
         sup.spawn(shard, 0);
     }
@@ -836,12 +832,8 @@ pub fn race_shards(commands: &[ShardCommand], config: &ShardConfig) -> ShardRace
     };
 
     let cause = if winner_idx.is_none() {
-        let causes: Vec<Exhausted> = sup.slots.iter().filter_map(|s| s.cause).collect();
-        let cause = causes
-            .iter()
-            .find(|c| !matches!(c, Exhausted::Cancelled))
-            .or_else(|| causes.first())
-            .copied()
+        let cause = settling_index(sup.slots.iter().map(|s| s.cause))
+            .and_then(|i| sup.slots[i].cause)
             .unwrap_or(Exhausted::Faulted { site: 0 });
         sup.events.push(ShardEvent::Degraded { cause });
         Some(cause)

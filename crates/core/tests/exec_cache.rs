@@ -7,12 +7,10 @@
 //!    unbounded one memoize the same function to the same values;
 //! 3. a panicking worker surfaces as an error instead of a hang.
 
-use sciduction::exec::{ExecError, ParallelOracle, Portfolio, QueryCache, StopFlag};
+use sciduction::exec::{ExecError, ParallelOracle, QueryCache, StopFlag};
+use sciduction::recover::{first_panic, Attempt, RetryPolicy, Supervisor};
 use std::hash::{Hash, Hasher};
 use std::sync::atomic::{AtomicUsize, Ordering};
-
-/// A boxed race entrant, for tests that mix closure bodies in one vec.
-type BoxedEntrant = Box<dyn FnOnce(&StopFlag) -> Option<u32> + Send>;
 
 /// A key whose hash is a single low-entropy bucket byte but whose
 /// equality covers the full payload: forces constant hash collisions,
@@ -126,12 +124,8 @@ fn panicking_map_worker_surfaces_as_error() {
             x
         })
         .unwrap_err();
-    match err {
-        ExecError::WorkerPanicked { message, .. } => {
-            assert!(message.contains("injected fault"), "got: {message}");
-        }
-        other => panic!("unexpected error {other:?}"),
-    }
+    let ExecError::WorkerPanicked { message, .. } = err;
+    assert!(message.contains("injected fault"), "got: {message}");
 }
 
 #[test]
@@ -145,43 +139,35 @@ fn panicking_sequential_worker_surfaces_as_error() {
             x
         })
         .unwrap_err();
-    match err {
-        ExecError::WorkerPanicked { worker, message } => {
-            assert_eq!(worker, 0);
-            assert!(message.contains("sequential fault"));
-        }
-        other => panic!("unexpected error {other:?}"),
-    }
+    let ExecError::WorkerPanicked { worker, message } = err;
+    assert_eq!(worker, 0);
+    assert!(message.contains("sequential fault"));
 }
 
 #[test]
 fn panicking_race_entrant_surfaces_as_error_not_hang() {
     for threads in [1, 4] {
-        // Entrant 0 panics so the sequential mode (which runs entrants
-        // in index order and never cancels ones it hasn't started)
-        // reaches the fault too.
-        let entrants: Vec<BoxedEntrant> = (0..4)
+        // Entrant 0 panics. Under supervision a panic parks a fault and
+        // never cancels siblings, so the survivors give up on their own
+        // rather than waiting for a stop that will not come.
+        let entrants: Vec<_> = (0..4)
             .map(|i| {
-                Box::new(move |stop: &StopFlag| {
+                move |_: &StopFlag, _: u32| -> Attempt<u32> {
                     if i == 0 {
                         panic!("poisoned worker");
                     }
-                    // Survivors wait for cancellation (or the panic
-                    // path's stop) rather than answering, so the test
-                    // passes only if the panic is what ends the race.
-                    while !stop.is_stopped() {
-                        std::thread::yield_now();
-                    }
-                    None
-                }) as BoxedEntrant
+                    Attempt::GaveUp(None)
+                }
             })
             .collect();
-        let err = Portfolio::new(threads).race(entrants).unwrap_err();
-        match err {
-            ExecError::WorkerPanicked { message, .. } => {
+        let race = Supervisor::new(threads, RetryPolicy::new(0, 0)).race(entrants);
+        assert!(race.win.is_none(), "threads={threads}");
+        match first_panic(&race.logs) {
+            Some(ExecError::WorkerPanicked { worker, message }) => {
+                assert_eq!(worker, 0, "threads={threads}");
                 assert!(message.contains("poisoned worker"), "threads={threads}");
             }
-            other => panic!("unexpected error {other:?}"),
+            other => panic!("unexpected report {other:?}"),
         }
     }
 }
