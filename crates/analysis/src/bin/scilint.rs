@@ -586,6 +586,24 @@ fn lint_supervision(report: &mut Report) {
     }
     audit_shard_log(&race, "supervision", report);
 
+    // Negative control: the same clean log with its first heartbeats
+    // struck out claims answers no beat preceded.
+    let mut beatless = race.clone();
+    beatless
+        .log
+        .events
+        .retain(|e| !matches!(e, ShardEvent::Beat { .. }));
+    let mut scratch = Report::new();
+    audit_shard_log(&beatless, "supervision", &mut scratch);
+    if !scratch.has_code(codes::SUP001) {
+        report.error(
+            codes::SUP001,
+            "supervision",
+            "forged-beatless-win",
+            "an answer with no earlier heartbeat was not flagged",
+        );
+    }
+
     // The hung-shard path, deterministically: a seed whose pure fault
     // plan hangs attempt 0 of shard 0 (kill must not preempt it) and
     // leaves attempt 1 clean. The watchdog must reap the hang, charge

@@ -163,8 +163,9 @@ pub const DUR002: &str = "DUR002";
 /// (double charge), or a response without a settlement.
 pub const DUR003: &str = "DUR003";
 
-/// A shard supervision log is structurally malformed: a death, win, or
-/// kill recorded for an attempt that was never spawned, attempt numbers
+/// A shard supervision log is structurally malformed: a beat, death,
+/// win, or kill recorded for an attempt that was never spawned, an
+/// answer from an attempt with no earlier heartbeat, attempt numbers
 /// that skip, more than one terminal event for a shard, a duplicate
 /// winner, or a race that records both a winner and a degradation.
 pub const SUP001: &str = "SUP001";
@@ -313,7 +314,7 @@ pub const ALL: &[(&str, &str)] = &[
     ),
     (
         SUP001,
-        "shard supervision log malformed (unspawned death/win, double winner)",
+        "shard supervision log malformed (unspawned death/win, answer before any beat, double winner)",
     ),
     (
         SUP002,

@@ -1214,11 +1214,12 @@ pub fn audit_guard_journal(journal: &GuardSearchJournal, pass: &'static str, rep
 /// Replays a [`ShardRace`]'s supervision log like a certificate
 /// (DESIGN.md §4.19).
 ///
-/// * `SUP001` — structure: every death/win/kill names a spawned
-///   attempt, attempts per shard are contiguous from 0, each shard has
-///   at most one terminal event (gave-up, won, or killed-by-winner),
-///   and the race records at most one winner or one degradation, never
-///   both.
+/// * `SUP001` — structure: every beat/death/win/kill names a spawned
+///   attempt, attempts per shard are contiguous from 0, a winning
+///   attempt logged its first beat before its answer (a death before
+///   any beat is legal), each shard has at most one terminal event
+///   (gave-up, won, or killed-by-winner), and the race records at most
+///   one winner or one degradation, never both.
 /// * `SUP002` — charges: each retry charge re-derives from
 ///   [`RetryPolicy::backoff`] under the log's seed, each watchdog
 ///   charge equals [`sciduction::shard::WATCHDOG_KILL_CHARGE`], and the
@@ -1232,6 +1233,7 @@ pub fn audit_shard_log(race: &ShardRace, pass: &'static str, report: &mut Report
     use std::collections::HashSet;
     let log = &race.log;
     let mut spawned: HashSet<(u64, u32)> = HashSet::new();
+    let mut beaten: HashSet<(u64, u32)> = HashSet::new();
     let mut next_attempt: HashMap<u64, u32> = HashMap::new();
     let mut deaths: HashMap<u64, u32> = HashMap::new();
     let mut hung: HashSet<(u64, u32)> = HashSet::new();
@@ -1292,6 +1294,11 @@ pub fn audit_shard_log(race: &ShardRace, pass: &'static str, report: &mut Report
                 *expected = attempt + 1;
                 require_open(*shard, "a spawn", &terminal, report);
                 spawned.insert((*shard, *attempt));
+            }
+            ShardEvent::Beat { shard, attempt } => {
+                require_spawned(*shard, *attempt, "a first heartbeat", &spawned, report);
+                require_open(*shard, "a first heartbeat", &terminal, report);
+                beaten.insert((*shard, *attempt));
             }
             ShardEvent::Died {
                 shard,
@@ -1380,6 +1387,14 @@ pub fn audit_shard_log(race: &ShardRace, pass: &'static str, report: &mut Report
             ShardEvent::Won { shard, attempt } => {
                 require_spawned(*shard, *attempt, "a win", &spawned, report);
                 require_open(*shard, "a win", &terminal, report);
+                if !beaten.contains(&(*shard, *attempt)) {
+                    report.error(
+                        codes::SUP001,
+                        pass,
+                        site(*shard),
+                        format!("attempt {attempt} answered with no earlier heartbeat"),
+                    );
+                }
                 terminal.insert(*shard, "won");
                 if let Some((prev, _)) = winner {
                     report.error(
@@ -2174,6 +2189,10 @@ mod shard_audit_tests {
                         shard: 0,
                         attempt: 0,
                     },
+                    ShardEvent::Beat {
+                        shard: 0,
+                        attempt: 0,
+                    },
                     ShardEvent::Won {
                         shard: 0,
                         attempt: 0,
@@ -2284,16 +2303,26 @@ mod shard_audit_tests {
         assert!(report.has_code(codes::SUP002), "{report:?}");
     }
 
+    /// Whether `report` holds a `SUP001` whose message contains `needle`,
+    /// so each negative control pins its own rule rather than any SUP001.
+    fn sup001_says(report: &Report, needle: &str) -> bool {
+        report
+            .diagnostics()
+            .iter()
+            .any(|d| d.code == codes::SUP001 && d.message.contains(needle))
+    }
+
     #[test]
     fn unspawned_win_and_double_winner_are_sup001() {
         let mut race = clean_win();
-        race.log.events[1] = ShardEvent::Won {
+        race.log.events[2] = ShardEvent::Won {
             shard: 0,
             attempt: 5,
         };
         let mut report = Report::new();
         audit_shard_log(&race, "test", &mut report);
         assert!(report.has_code(codes::SUP001), "{report:?}");
+        assert!(sup001_says(&report, "never spawned"), "{report:?}");
 
         let mut race = honest_degradation();
         race.log.events.push(ShardEvent::Won {
@@ -2303,6 +2332,21 @@ mod shard_audit_tests {
         let mut report = Report::new();
         audit_shard_log(&race, "test", &mut report);
         assert!(report.has_code(codes::SUP001), "{report:?}");
+        assert!(
+            sup001_says(&report, "after the race degraded"),
+            "{report:?}"
+        );
+    }
+
+    #[test]
+    fn answer_without_a_first_beat_is_sup001() {
+        let mut race = clean_win();
+        race.log
+            .events
+            .retain(|e| !matches!(e, ShardEvent::Beat { .. }));
+        let mut report = Report::new();
+        audit_shard_log(&race, "test", &mut report);
+        assert!(sup001_says(&report, "no earlier heartbeat"), "{report:?}");
     }
 
     #[test]

@@ -250,7 +250,11 @@ pub fn parse_threads(raw: Option<&str>) -> usize {
     }
 }
 
-fn default_threads() -> usize {
+/// The machine's available parallelism (1 when it cannot be queried),
+/// ignoring [`THREADS_ENV`]. For whole-machine passes that run while
+/// nothing else computes, such as the server's startup replay; per-job
+/// portfolio width goes through [`configured_threads`].
+pub fn default_threads() -> usize {
     std::thread::available_parallelism()
         .map(|n| n.get())
         .unwrap_or(1)

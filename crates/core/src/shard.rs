@@ -32,8 +32,9 @@
 //!   [`Exhausted`] cause and a coherent [`BudgetReceipt`] — never a
 //!   flipped verdict, never a wedged supervisor.
 //!
-//! Every supervision decision is appended to a [`ShardLog`], which the
-//! `SUP001`–`SUP003` lints replay like a certificate (charges re-derived
+//! Every supervision decision, and each attempt's first heartbeat, is
+//! appended to a [`ShardLog`], which the `SUP001`–`SUP003` lints replay
+//! like a certificate (a beat before every answer, charges re-derived
 //! from the policy seed, winner integrity, degradation justification).
 //!
 //! Fault injection: [`FaultKind::ShardKill`] / [`FaultKind::ShardHang`]
@@ -429,6 +430,15 @@ pub enum ShardEvent {
         /// Attempt number (0 = first launch).
         attempt: u32,
     },
+    /// The attempt's first heartbeat arrived. Later beats only feed the
+    /// watchdog and are not logged; `SUP001` refuses an answer from an
+    /// attempt with no earlier beat.
+    Beat {
+        /// Shard index.
+        shard: u64,
+        /// The attempt that beat.
+        attempt: u32,
+    },
     /// The attempt died without answering.
     Died {
         /// Shard index.
@@ -540,6 +550,8 @@ struct Slot {
     state: SlotState,
     child: Option<Child>,
     last_seen: Instant,
+    /// Whether the current attempt's first beat is logged.
+    beaten: bool,
     cause: Option<Exhausted>,
 }
 
@@ -578,6 +590,7 @@ impl Supervision<'_> {
         // advances the retry counter through `after_death`.
         self.slots[shard].attempt = attempt;
         self.slots[shard].state = SlotState::Running;
+        self.slots[shard].beaten = false;
         let cmd = &self.commands[shard];
         let spawned = Command::new(&cmd.program)
             .args(&cmd.args)
@@ -710,6 +723,7 @@ pub fn race_shards(commands: &[ShardCommand], config: &ShardConfig) -> ShardRace
                 state: SlotState::GaveUp,
                 child: None,
                 last_seen: Instant::now(),
+                beaten: false,
                 cause: None,
             })
             .collect(),
@@ -738,7 +752,17 @@ pub fn race_shards(commands: &[ShardCommand], config: &ShardConfig) -> ShardRace
                     continue;
                 }
                 match msg.note {
-                    Note::Beat => sup.slots[msg.shard].last_seen = Instant::now(),
+                    Note::Beat => {
+                        let slot = &mut sup.slots[msg.shard];
+                        slot.last_seen = Instant::now();
+                        if !slot.beaten {
+                            slot.beaten = true;
+                            sup.events.push(ShardEvent::Beat {
+                                shard: msg.shard as u64,
+                                attempt: msg.attempt,
+                            });
+                        }
+                    }
                     Note::Answer(answer) => {
                         sup.events.push(ShardEvent::Won {
                             shard: msg.shard as u64,

@@ -20,16 +20,18 @@
 
 use crate::jobs::Engine;
 use crate::server::{ServedRecord, TranscriptEntry};
+use sciduction::exec::{default_threads, panic_message, ParallelOracle};
 use sciduction::BudgetReceipt;
 use sciduction_analysis::codes::{SRV001, SRV002, SRV003};
 use sciduction_analysis::Report;
 use std::collections::HashMap;
+use std::panic::{catch_unwind, AssertUnwindSafe};
 
 /// `SRV001`: structural checks on the transcript itself.
 pub fn audit_transcript(entries: &[TranscriptEntry], pass: &'static str, report: &mut Report) {
     let mut seen: HashMap<(String, u64), usize> = HashMap::new();
     for (i, e) in entries.iter().enumerate() {
-        let loc = format!("{}#{} ({})", e.tenant, e.id, e.spec.label());
+        let loc = location(e);
         if let Some(prev) = seen.insert((e.tenant.clone(), e.id), i) {
             report.error(
                 SRV001,
@@ -54,9 +56,13 @@ pub fn audit_recovered_transcript(
     report: &mut Report,
 ) {
     for e in entries {
-        let loc = format!("{}#{} ({})", e.tenant, e.id, e.spec.label());
-        audit_entry(e, loc, pass, report);
+        audit_entry(e, location(e), pass, report);
     }
+}
+
+/// An entry's diagnostic location: `tenant#id (label)`.
+fn location(e: &TranscriptEntry) -> String {
+    format!("{}#{} ({})", e.tenant, e.id, e.spec.label())
 }
 
 fn audit_entry(e: &TranscriptEntry, loc: String, pass: &'static str, report: &mut Report) {
@@ -78,19 +84,64 @@ fn audit_entry(e: &TranscriptEntry, loc: String, pass: &'static str, report: &mu
     }
 }
 
-/// `SRV002`: re-executes every served job through a fresh [`Engine`] and
-/// compares verdict strings byte-for-byte. Thread counts and fault seeds
-/// travel inside the spec, so the re-execution sees exactly the same
-/// configuration the server did. Re-running is as expensive as serving
-/// was; callers sample or snapshot accordingly.
+/// `SRV002`: re-executes every served job through one fresh [`Engine`]
+/// and compares verdict strings byte-for-byte. Thread counts and fault
+/// seeds travel inside the spec, so the re-execution sees exactly the
+/// same configuration the server did.
+///
+/// Re-running is as expensive as serving was, so the re-executions fan
+/// out over [`ParallelOracle::map`] at the machine's available
+/// parallelism ([`default_threads`]). That is not the per-job
+/// `SCIDUCTION_THREADS` width: the server runs this pass at startup,
+/// before any worker or listener exists, so every core is otherwise
+/// idle. A job whose verdict depends on what the shared engine already
+/// ran ([`verdict_depends_on_order`]) re-executes alone, after
+/// every earlier entry and before any later one, so each entry sees the
+/// engine state a one-at-a-time replay in transcript order would give
+/// it. Comparison and reporting are one sequential pass in transcript
+/// order, so the [`Report`] is the same at any width. A re-execution that
+/// panics is an `SRV002` error at its entry, not an unwind out of the
+/// caller. The cost still grows linearly with the transcript; callers
+/// sample or snapshot accordingly.
+///
+/// [`verdict_depends_on_order`]: crate::jobs::JobSpec::verdict_depends_on_order
 pub fn audit_served_verdicts(entries: &[TranscriptEntry], pass: &'static str, report: &mut Report) {
     let engine = Engine::new(None);
-    for e in entries {
-        let Some(served) = &e.served else { continue };
-        let loc = format!("{}#{} ({})", e.tenant, e.id, e.spec.label());
-        match engine.execute("srv002-replay", &e.spec) {
+    let oracle = ParallelOracle::new(default_threads());
+    let replay = |e: &TranscriptEntry| {
+        e.served.as_ref()?;
+        let run = catch_unwind(AssertUnwindSafe(|| {
+            engine.execute("srv002-replay", &e.spec)
+        }));
+        Some(match run {
+            Ok(Ok(direct)) => Ok(direct.verdict),
+            Ok(Err(err)) => Err(format!("served a verdict but re-execution fails: {err}")),
+            Err(payload) => Err(format!(
+                "served a verdict but re-execution panicked: {}",
+                panic_message(payload.as_ref())
+            )),
+        })
+    };
+    let mut replays = Vec::with_capacity(entries.len());
+    for run in entries.split_inclusive(|e| e.spec.verdict_depends_on_order()) {
+        let (batch, alone) = match run.split_last() {
+            Some((last, init)) if last.spec.verdict_depends_on_order() => (init, Some(last)),
+            _ => (run, None),
+        };
+        replays.extend(
+            oracle
+                .map(batch, |_, e| replay(e))
+                .expect("every re-execution catches its own panic"),
+        );
+        replays.extend(alone.map(&replay));
+    }
+    for (e, replay) in entries.iter().zip(replays) {
+        let (Some(served), Some(replay)) = (&e.served, replay) else {
+            continue;
+        };
+        match replay {
             Ok(direct) => {
-                if direct.verdict != served.verdict {
+                if direct != served.verdict {
                     if certified_degradation(served) {
                         // Process-isolation degradation (§4.19): every
                         // shard of the job died, and the supervisor
@@ -104,20 +155,15 @@ pub fn audit_served_verdicts(entries: &[TranscriptEntry], pass: &'static str, re
                     report.error(
                         SRV002,
                         pass,
-                        loc,
+                        location(e),
                         format!(
-                            "served verdict {:?} but direct re-execution says {:?}",
-                            served.verdict, direct.verdict
+                            "served verdict {:?} but direct re-execution says {direct:?}",
+                            served.verdict
                         ),
                     );
                 }
             }
-            Err(err) => report.error(
-                SRV002,
-                pass,
-                loc,
-                format!("served a verdict but re-execution fails: {err}"),
-            ),
+            Err(message) => report.error(SRV002, pass, location(e), message),
         }
     }
 }
@@ -277,5 +323,92 @@ mod tests {
         let mut report = Report::new();
         audit_served_verdicts(&forged, "test", &mut report);
         assert!(report.has_code(SRV002), "{report:?}");
+    }
+
+    #[test]
+    fn budgeted_cache_hit_audits_clean_after_its_unbudgeted_twin() {
+        let budgeted = |id: u64| {
+            let mut e = served_entry("b", id, "unsat");
+            let JobSpec::Fig(j) = &mut e.spec else {
+                unreachable!("served_entry builds a fig job")
+            };
+            j.common.budget = Budget {
+                conflicts: 1,
+                ..Budget::UNLIMITED
+            };
+            e
+        };
+        // On its own the budgeted query starves; the server answered it
+        // `unsat` from the cache its unbudgeted twin had filled.
+        let alone = Engine::new(None)
+            .execute("alone", &budgeted(0).spec)
+            .expect("executes");
+        assert!(alone.verdict.starts_with("unknown"), "{}", alone.verdict);
+        let entries = vec![
+            served_entry("a", 0, "unsat"),
+            budgeted(1),
+            budgeted(2),
+            budgeted(3),
+        ];
+        for _ in 0..3 {
+            let mut report = Report::new();
+            audit_served_verdicts(&entries, "test", &mut report);
+            assert!(report.diagnostics().is_empty(), "{report:?}");
+        }
+    }
+
+    #[test]
+    fn parallel_replay_reports_in_transcript_order() {
+        use sciduction::Exhausted;
+        use sciduction_analysis::Severity;
+
+        let degraded = |id: u64| {
+            let cause = Exhausted::Faulted { site: 0 };
+            let mut e = served_entry("deg", id, &format!("unknown: {cause}"));
+            e.served.as_mut().expect("served").receipt.cause = Some(cause);
+            e
+        };
+        let unserved = |id: u64| TranscriptEntry {
+            served: None,
+            ..served_entry("idle", id, "unsat")
+        };
+        // Forged at 3 (a wrong definite verdict) and 9 (an `unknown`
+        // whose receipt certifies no cause).
+        let entries = vec![
+            served_entry("a", 0, "unsat"),
+            unserved(1),
+            degraded(2),
+            served_entry("b", 3, "sat"),
+            served_entry("a", 4, "unsat"),
+            unserved(5),
+            served_entry("a", 6, "unsat"),
+            degraded(7),
+            served_entry("a", 8, "unsat"),
+            served_entry("c", 9, "unknown: faulted at site 0"),
+            served_entry("a", 10, "unsat"),
+            served_entry("a", 11, "unsat"),
+        ];
+        let run = || {
+            let mut report = Report::new();
+            audit_served_verdicts(&entries, "test", &mut report);
+            report
+        };
+        let report = run();
+        assert_eq!(report.count(Severity::Error), 2, "{report:?}");
+        let flagged: Vec<(&str, &str)> = report
+            .diagnostics()
+            .iter()
+            .map(|d| (d.code, d.location.as_str()))
+            .collect();
+        assert_eq!(
+            flagged,
+            [
+                (SRV002, location(&entries[3]).as_str()),
+                (SRV002, location(&entries[9]).as_str()),
+            ]
+        );
+        for _ in 0..3 {
+            assert_eq!(run().diagnostics(), report.diagnostics());
+        }
     }
 }

@@ -89,6 +89,14 @@ pub struct FigJob {
     pub common: JobCommon,
 }
 
+impl FigJob {
+    /// Whether the job's query runs on the engine-wide SMT cache: an SMT
+    /// figure query that neither certifies nor runs under a fault plan.
+    fn shares_query_cache(&self) -> bool {
+        self.name != "fig10_mode_exclusion" && !self.proof && self.common.fault_seed.is_none()
+    }
+}
+
 /// An OGIS synthesis job over a named component-library benchmark.
 #[derive(Clone, Debug, PartialEq)]
 pub struct SynthJob {
@@ -124,6 +132,19 @@ impl JobSpec {
     /// introspection kinds answered inline by the connection thread).
     pub fn is_compute(&self) -> bool {
         matches!(self, JobSpec::Sat(_) | JobSpec::Fig(_) | JobSpec::Synth(_))
+    }
+
+    /// True when this job's verdict depends on which jobs ran before it
+    /// on the same engine: a query on the engine-wide SMT cache adopts a
+    /// cached answer even with its budget spent, so under a bounded
+    /// budget it answers `unknown` or the cached verdict depending on
+    /// what the cache already holds. Every other job's verdict follows
+    /// from its spec alone.
+    pub fn verdict_depends_on_order(&self) -> bool {
+        match self {
+            JobSpec::Fig(j) => j.shares_query_cache() && !j.common.budget.is_unlimited(),
+            _ => false,
+        }
     }
 
     /// The shared knobs of a compute job (`None` for the introspection
@@ -557,13 +578,12 @@ impl Engine {
         } else {
             SmtSolver::new()
         };
-        if !j.proof {
-            match j.common.fault_seed {
-                None => s.attach_cache(Arc::clone(&self.smt_cache)),
-                Some(seed) => s.attach_cache(Arc::new(
-                    SmtQueryCache::new().with_fault_plan(Arc::new(FaultPlan::new(seed))),
-                )),
-            }
+        if j.shares_query_cache() {
+            s.attach_cache(Arc::clone(&self.smt_cache));
+        } else if let (false, Some(seed)) = (j.proof, j.common.fault_seed) {
+            s.attach_cache(Arc::new(
+                SmtQueryCache::new().with_fault_plan(Arc::new(FaultPlan::new(seed))),
+            ));
         }
         for t in build_fig_query(&mut s, name)? {
             s.assert_term(t);

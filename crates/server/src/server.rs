@@ -30,7 +30,7 @@ use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 /// On-disk generation of the query-cache tier (`cache.log` in the state
 /// dir); bump on any entry-format change so stale tiers reset.
@@ -150,6 +150,8 @@ struct Shared {
     /// (tenant, id) pairs across restarts, which `SRV001` would flag as
     /// duplicates inside one transcript.
     recovered: Vec<TranscriptEntry>,
+    /// What startup recovery cost, phase by phase.
+    recovery: RecoveryStats,
     /// The job WAL (`state_dir` only).
     wal: Option<Wal>,
     /// The query-cache disk tier handle (`state_dir` only) — held for
@@ -183,9 +185,32 @@ pub struct Server {
     workers: Vec<JoinHandle<()>>,
 }
 
+/// Wall time of each startup recovery phase, and how many transcript
+/// entries the job WAL replayed; the `stats` job reports them. All zero
+/// without a state dir.
+#[derive(Default)]
+struct RecoveryStats {
+    decode_ms: f64,
+    replay_ms: f64,
+    /// The `SRV001`/`SRV003` audits.
+    audit_ms: f64,
+    srv002_ms: f64,
+    cache_ms: f64,
+    jobs: usize,
+}
+
+/// Runs `f`, storing its wall time in ms into `ms`.
+fn timed<T>(ms: &mut f64, f: impl FnOnce() -> T) -> T {
+    let start = Instant::now();
+    let out = f();
+    *ms = start.elapsed().as_secs_f64() * 1e3;
+    out
+}
+
 /// What the state-dir recovery pass rebuilt (internal to [`Server::start`]).
 struct Recovered {
     engine: Engine,
+    stats: RecoveryStats,
     wal: Option<Wal>,
     disk_tier: Option<Arc<DiskCacheTier>>,
     tenants: HashMap<String, BudgetMeter>,
@@ -202,6 +227,7 @@ fn recover_state(config: &ServerConfig) -> std::io::Result<Recovered> {
     let Some(dir) = &config.state_dir else {
         return Ok(Recovered {
             engine: Engine::new(config.proofs_dir.clone()),
+            stats: RecoveryStats::default(),
             wal: None,
             disk_tier: None,
             tenants: HashMap::new(),
@@ -210,38 +236,57 @@ fn recover_state(config: &ServerConfig) -> std::io::Result<Recovered> {
         });
     };
     std::fs::create_dir_all(dir)?;
+    let mut stats = RecoveryStats::default();
 
     // Query-cache tier: replay durable entries into a fresh shared
     // cache, then attach write-behind. Disk hits re-enter through the
     // solver's certify-on-reuse path like any memory hit — the tier
     // extends the cache's *lifetime*, never its trust.
-    let (tier, _cache_rec) = DiskCacheTier::open(dir.join("cache.log"), CACHE_GENERATION)?;
-    let tier = match &config.durability_faults {
-        Some(plan) => tier.with_fault_plan(Arc::clone(plan)),
-        None => tier,
-    };
-    let cache = Arc::new(SmtQueryCache::new());
-    let tier = sciduction_smt::attach_disk_tier(&cache, tier, &_cache_rec.entries);
+    let (tier, cache) = timed(&mut stats.cache_ms, || {
+        let (tier, cache_rec) = DiskCacheTier::open(dir.join("cache.log"), CACHE_GENERATION)?;
+        let tier = match &config.durability_faults {
+            Some(plan) => tier.with_fault_plan(Arc::clone(plan)),
+            None => tier,
+        };
+        let cache = Arc::new(SmtQueryCache::new());
+        let tier = sciduction_smt::attach_disk_tier(&cache, tier, &cache_rec.entries);
+        Ok::<_, std::io::Error>((tier, cache))
+    })?;
     let engine = Engine::with_cache(config.proofs_dir.clone(), cache);
 
     // Job WAL: decode, replay the admit/settle/respond state machine,
     // and audit the result exactly like a live transcript.
-    let (wal, wal_rec) = Wal::open(dir.join("jobs.wal"))?;
+    let mut report = Report::new();
+    let (wal, records) = timed(&mut stats.decode_ms, || {
+        let (wal, wal_rec) = Wal::open(dir.join("jobs.wal"))?;
+        let records = journal::decode_records(&wal_rec.records, "recovery", &mut report);
+        Ok::<_, std::io::Error>((wal, records))
+    })?;
     let wal = match &config.durability_faults {
         Some(plan) => wal.with_fault_plan(Arc::clone(plan)),
         None => wal,
     };
-    let mut report = Report::new();
-    let records = journal::decode_records(&wal_rec.records, "recovery", &mut report);
-    let replayed = journal::replay(&records, config.tenant_budget, "recovery", &mut report);
-    crate::audit::audit_recovered_transcript(&replayed.entries, "recovery", &mut report);
-    let accounts: HashMap<String, BudgetReceipt> = replayed
-        .accounts
-        .iter()
-        .map(|(t, m)| (t.clone(), m.receipt()))
-        .collect();
-    crate::audit::audit_admission_accounts(&replayed.entries, &accounts, "recovery", &mut report);
-    crate::audit::audit_served_verdicts(&replayed.entries, "recovery", &mut report);
+    let replayed = timed(&mut stats.replay_ms, || {
+        journal::replay(&records, config.tenant_budget, "recovery", &mut report)
+    });
+    stats.jobs = replayed.entries.len();
+    timed(&mut stats.audit_ms, || {
+        crate::audit::audit_recovered_transcript(&replayed.entries, "recovery", &mut report);
+        let accounts: HashMap<String, BudgetReceipt> = replayed
+            .accounts
+            .iter()
+            .map(|(t, m)| (t.clone(), m.receipt()))
+            .collect();
+        crate::audit::audit_admission_accounts(
+            &replayed.entries,
+            &accounts,
+            "recovery",
+            &mut report,
+        );
+    });
+    timed(&mut stats.srv002_ms, || {
+        crate::audit::audit_served_verdicts(&replayed.entries, "recovery", &mut report);
+    });
     if report.has_errors() {
         let mut reasons: Vec<String> = report
             .diagnostics()
@@ -280,6 +325,7 @@ fn recover_state(config: &ServerConfig) -> std::io::Result<Recovered> {
     }
     Ok(Recovered {
         engine,
+        stats,
         wal: Some(wal),
         disk_tier: Some(tier),
         tenants: replayed.accounts,
@@ -311,6 +357,7 @@ impl Server {
             tenants: Mutex::new(recovered.tenants),
             transcript: Mutex::new(Vec::new()),
             recovered: recovered.entries,
+            recovery: recovered.stats,
             wal: recovered.wal,
             disk_tier: recovered.disk_tier,
             counters: Counters::default(),
@@ -771,6 +818,21 @@ fn render_done_stats(id: u64, shared: &Arc<Shared>) -> String {
                 ("evictions", Value::Int(cache.evictions as i64)),
             ]),
         ),
+        (
+            "recovered_jobs".to_string(),
+            Value::Int(shared.recovery.jobs as i64),
+        ),
+        ("recovery_ms".to_string(), {
+            let r = &shared.recovery;
+            let ms = |v: f64| Value::Float((v * 1e3).round() / 1e3);
+            json::obj(vec![
+                ("decode", ms(r.decode_ms)),
+                ("replay", ms(r.replay_ms)),
+                ("audit", ms(r.audit_ms)),
+                ("srv002", ms(r.srv002_ms)),
+                ("cache", ms(r.cache_ms)),
+            ])
+        }),
     ];
     render_done(id, "stats", &receipt, None, &detail)
 }

@@ -380,6 +380,98 @@ fn orphaned_in_flight_jobs_are_refused_not_rerun() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// A forged settlement refuses startup: a WAL of honest fig jobs with one
+/// `Settle` record whose verdict no re-execution produces must fail the
+/// `SRV002` replay, and the refusal names the forged job. The same WAL
+/// without the forgery starts cleanly.
+#[test]
+fn forged_settlement_refuses_startup_with_srv002() {
+    use sciduction::BudgetMeter;
+    use sciduction_server::{FigJob, JobCommon, Wal, WalRecord};
+
+    const FORGED_SEQ: u64 = 2;
+    let write_wal = |dir: &Path, forge: bool| {
+        let _ = std::fs::remove_dir_all(dir);
+        std::fs::create_dir_all(dir).expect("state dir");
+        let (wal, _) = Wal::open(dir.join("jobs.wal")).expect("fresh wal");
+        let mut meter = BudgetMeter::new(Budget::UNLIMITED);
+        meter.charge_step_batch(3).expect("unlimited");
+        for (seq, name) in (0u64..).zip(FIG_NAMES) {
+            let honest = direct_verdict(name);
+            let verdict = if forge && seq == FORGED_SEQ {
+                assert_eq!(honest, "unsat", "the forgery below must differ");
+                "sat".to_string()
+            } else {
+                honest
+            };
+            for rec in [
+                WalRecord::Admit {
+                    seq,
+                    tenant: TENANT.into(),
+                    id: seq,
+                    spec: JobSpec::Fig(FigJob {
+                        name: name.into(),
+                        proof: false,
+                        common: JobCommon {
+                            threads: 1,
+                            ..JobCommon::default()
+                        },
+                    }),
+                },
+                WalRecord::Settle {
+                    seq,
+                    verdict,
+                    receipt: meter.receipt(),
+                    settled: true,
+                },
+                WalRecord::Respond { seq },
+            ] {
+                assert!(wal.record(&rec), "journal write");
+            }
+        }
+        wal.sync().expect("sync");
+    };
+
+    let dir = std::env::temp_dir().join(format!("scid-crash-forged-{}", std::process::id()));
+    write_wal(&dir, true);
+    let err = match Server::start(durable_config(&dir, 1)) {
+        Ok(_) => panic!("a forged settlement must refuse startup"),
+        Err(e) => e,
+    };
+    assert_eq!(err.kind(), std::io::ErrorKind::InvalidData, "{err}");
+    let message = err.to_string();
+    let forged_job = format!("{TENANT}#{FORGED_SEQ} ({})", FIG_NAMES[FORGED_SEQ as usize]);
+    assert!(
+        message.contains("SRV002") && message.contains(&forged_job),
+        "the refusal must name SRV002 and {forged_job}: {message}"
+    );
+
+    write_wal(&dir, false);
+    let mut server = Server::start(durable_config(&dir, 1)).expect("honest journal recovers");
+    assert_eq!(server.recovered_transcript().len(), FIG_NAMES.len());
+    // `stats` reports what recovery replayed and what each phase cost.
+    let stats = connect(&server)
+        .request(
+            TENANT,
+            json::obj(vec![("kind", Value::Str("stats".into()))]),
+        )
+        .expect("stats");
+    let detail = stats.get("detail").expect("stats detail");
+    assert_eq!(
+        detail.get("recovered_jobs").and_then(Value::as_u64),
+        Some(FIG_NAMES.len() as u64),
+        "{stats}"
+    );
+    let phases = detail.get("recovery_ms").expect("recovery_ms");
+    for phase in ["decode", "replay", "audit", "srv002", "cache"] {
+        let ms = phases.get(phase).and_then(Value::as_f64);
+        assert!(ms.is_some_and(|ms| ms >= 0.0), "{phase}: {stats}");
+    }
+    server.stop();
+    drop(server);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 /// Overload shedding: with a bounded queue and saturated workers, excess
 /// jobs come back as structured `EBUSY` frames naming the offending
 /// tenant and job id — and shed jobs are never charged.
