@@ -63,6 +63,9 @@ for threads in 1 4; do
 done
 
 echo "==> proof certification: tier-1 workload proofs replayed by scicheck"
+# The checker's mutation and watched-vs-naive differential fuzzers, in the
+# release profile the served checker runs in.
+cargo test --release -p sciduction-proof -q
 for threads in 1 4; do
   echo "    SCIDUCTION_THREADS=$threads"
   SCIDUCTION_THREADS=$threads \

@@ -8,7 +8,9 @@
 //! checker before recording it, and writes the artifacts (DIMACS + DRAT,
 //! or `scicert` certificates) under `target/proofs/` so CI can replay
 //! them through the standalone `scicheck` binary. Results land in
-//! `BENCH_solver.json` at the repository root.
+//! `BENCH_solver.json` at the repository root, together with the
+//! in-process median time of that independent check (`check_ms`), so
+//! check-vs-solve cost is tracked alongside the solve times.
 
 use sciduction_bench::print_table;
 use sciduction_cfg::{path_formula, Dag};
@@ -32,7 +34,9 @@ struct Row {
     decisions: u64,
     propagations: u64,
     proof_steps: usize,
-    proof_checked: bool,
+    /// Median in-process time of the independent proof check; `None` for
+    /// SAT rows, which carry no proof.
+    check_ms: Option<f64>,
 }
 
 impl Row {
@@ -64,6 +68,31 @@ const WARMUP_ITERS: usize = 3;
 /// scheduler preemption in a way the old median-of-5 was not.
 const TIMING_SAMPLES: usize = 31;
 
+/// Repetitions per timing sample for a workload whose single run took
+/// `pilot_ms`: one for runs of a millisecond or more, otherwise enough
+/// back-to-back runs to cross ~10 ms of wall clock.
+fn reps_for(pilot_ms: f64) -> usize {
+    if pilot_ms >= 1.0 {
+        1
+    } else {
+        ((10.0 / pilot_ms.max(1e-6)).ceil() as usize).min(20_000)
+    }
+}
+
+/// Per-run milliseconds of `reps` back-to-back runs of `f`.
+fn sample(f: &mut dyn FnMut(), reps: usize) -> f64 {
+    let t0 = Instant::now();
+    for _ in 0..reps {
+        f();
+    }
+    t0.elapsed().as_secs_f64() * 1e3 / reps as f64
+}
+
+fn median(mut v: Vec<f64>) -> f64 {
+    v.sort_by(f64::total_cmp);
+    v[v.len() / 2]
+}
+
 /// Paired median per-run wall-clock milliseconds of `off` and `on` over
 /// [`TIMING_SAMPLES`] interleaved samples each, after [`WARMUP_ITERS`]
 /// warmup runs of both.
@@ -72,9 +101,8 @@ const TIMING_SAMPLES: usize = 31;
 /// slow environmental drift — CPU frequency ramp-up, thermal throttling,
 /// allocator arena growth — hits both equally instead of biasing
 /// whichever variant is measured second. Sub-millisecond workloads are
-/// batched: each sample times enough back-to-back repetitions to cross
-/// ~10 ms of wall clock, so timer granularity and scheduler noise stop
-/// dominating queries that finish in microseconds (the old
+/// batched (see [`reps_for`]), so timer granularity and scheduler noise
+/// stop dominating queries that finish in microseconds (the old
 /// measure-all-of-off-then-all-of-on single-run sampling reported a −40%
 /// "proof overhead" on `fig6_crc8_infeasible_path` for exactly these
 /// reasons).
@@ -83,20 +111,6 @@ fn paired_median_ms(mut off: impl FnMut(), mut on: impl FnMut()) -> (f64, f64) {
         off();
         on();
     }
-    let reps_for = |pilot_ms: f64| {
-        if pilot_ms >= 1.0 {
-            1
-        } else {
-            ((10.0 / pilot_ms.max(1e-6)).ceil() as usize).min(20_000)
-        }
-    };
-    let sample = |f: &mut dyn FnMut(), reps: usize| {
-        let t0 = Instant::now();
-        for _ in 0..reps {
-            f();
-        }
-        t0.elapsed().as_secs_f64() * 1e3 / reps as f64
-    };
     let reps_off = reps_for(sample(&mut off, 1));
     let reps_on = reps_for(sample(&mut on, 1));
     let mut samples_off = Vec::with_capacity(TIMING_SAMPLES);
@@ -105,11 +119,18 @@ fn paired_median_ms(mut off: impl FnMut(), mut on: impl FnMut()) -> (f64, f64) {
         samples_off.push(sample(&mut off, reps_off));
         samples_on.push(sample(&mut on, reps_on));
     }
-    let median = |mut v: Vec<f64>| {
-        v.sort_by(f64::total_cmp);
-        v[v.len() / 2]
-    };
     (median(samples_off), median(samples_on))
+}
+
+/// Median per-run wall-clock milliseconds of `f` over [`TIMING_SAMPLES`]
+/// samples after [`WARMUP_ITERS`] warmup runs, batched like
+/// [`paired_median_ms`].
+fn median_ms(mut f: impl FnMut()) -> f64 {
+    for _ in 0..WARMUP_ITERS {
+        f();
+    }
+    let reps = reps_for(sample(&mut f, 1));
+    median((0..TIMING_SAMPLES).map(|_| sample(&mut f, reps)).collect())
 }
 
 /// Benchmarks an SMT query: `build` emits terms into the pool and returns
@@ -143,16 +164,19 @@ fn bench_smt_query(
 
     let s = run(true);
     let stats = s.sat_stats();
-    let (proof_steps, proof_checked) = if expected == CheckResult::Unsat {
+    let (proof_steps, check_ms) = if expected == CheckResult::Unsat {
         let cert = s
             .unsat_certificate()
             .expect("certifying unsat must yield a certificate");
         check_certificate(&cert).unwrap_or_else(|e| panic!("{name}: certificate rejected: {e}"));
+        let check_ms = median_ms(|| {
+            check_certificate(&cert).expect("checked above");
+        });
         let path = proofs_dir().join(format!("{name}.scicert"));
         fs::write(&path, cert.to_text()).expect("write scicert");
-        (cert.proof.len(), true)
+        (cert.proof.len(), Some(check_ms))
     } else {
-        (0, false)
+        (0, None)
     };
     Row {
         name: name.to_string(),
@@ -165,7 +189,7 @@ fn bench_smt_query(
         decisions: stats.decisions,
         propagations: stats.propagations,
         proof_steps,
-        proof_checked,
+        check_ms,
     }
 }
 
@@ -289,6 +313,9 @@ fn fig10_rows() -> Vec<Row> {
             let proof_cnf = out.proof_cnf.expect("proof CNF accompanies the proof");
             check_drat(&proof_cnf, &proof)
                 .unwrap_or_else(|e| panic!("fig10 t{threads}: proof rejected: {e}"));
+            let check_ms = median_ms(|| {
+                check_drat(&proof_cnf, &proof).expect("checked above");
+            });
             let name = format!("fig10_mode_exclusion_t{threads}");
             fs::write(
                 proofs_dir().join(format!("{name}.cnf")),
@@ -311,7 +338,7 @@ fn fig10_rows() -> Vec<Row> {
                 decisions: stats.decisions,
                 propagations: stats.propagations,
                 proof_steps: proof.len(),
-                proof_checked: true,
+                check_ms: Some(check_ms),
             }
         })
         .collect()
@@ -332,7 +359,7 @@ fn write_json(rows: &[Row]) -> PathBuf {
     let mut entries = Vec::new();
     for r in rows {
         entries.push(format!(
-            "    {{\n      \"name\": \"{}\",\n      \"layer\": \"{}\",\n      \"threads\": {},\n      \"result\": \"{}\",\n      \"proof_off_ms\": {:.3},\n      \"proof_on_ms\": {:.3},\n      \"proof_overhead_pct\": {:.1},\n      \"conflicts\": {},\n      \"decisions\": {},\n      \"propagations\": {},\n      \"proof_steps\": {},\n      \"proof_checked\": {}\n    }}",
+            "    {{\n      \"name\": \"{}\",\n      \"layer\": \"{}\",\n      \"threads\": {},\n      \"result\": \"{}\",\n      \"proof_off_ms\": {:.3},\n      \"proof_on_ms\": {:.3},\n      \"proof_overhead_pct\": {:.1},\n      \"conflicts\": {},\n      \"decisions\": {},\n      \"propagations\": {},\n      \"proof_steps\": {},\n      \"proof_checked\": {},\n      \"check_ms\": {}\n    }}",
             json_escape(&r.name),
             r.layer,
             r.threads,
@@ -344,11 +371,13 @@ fn write_json(rows: &[Row]) -> PathBuf {
             r.decisions,
             r.propagations,
             r.proof_steps,
-            r.proof_checked,
+            r.check_ms.is_some(),
+            r.check_ms
+                .map_or_else(|| "null".to_string(), |ms| format!("{ms:.4}")),
         ));
     }
     let json = format!(
-        "{{\n  \"schema\": \"sciduction-solver-bench/v1\",\n  \"command\": \"cargo run --release -p sciduction-bench --bin solver_bench\",\n  \"timing\": \"median of {TIMING_SAMPLES} interleaved off/on samples after {WARMUP_ITERS} warmup runs, per-run milliseconds; sub-millisecond workloads batched to >=10ms per sample\",\n  \"workloads\": [\n{}\n  ]\n}}\n",
+        "{{\n  \"schema\": \"sciduction-solver-bench/v1\",\n  \"command\": \"cargo run --release -p sciduction-bench --bin solver_bench\",\n  \"timing\": \"median of {TIMING_SAMPLES} interleaved off/on samples after {WARMUP_ITERS} warmup runs, per-run milliseconds; sub-millisecond workloads batched to >=10ms per sample; check_ms is the median of {TIMING_SAMPLES} samples of the in-process independent proof check\",\n  \"workloads\": [\n{}\n  ]\n}}\n",
         entries.join(",\n")
     );
     let path = repo_root().join("BENCH_solver.json");
@@ -376,11 +405,8 @@ fn main() {
                 format!("{:+.1}%", r.overhead_pct()),
                 r.conflicts.to_string(),
                 r.proof_steps.to_string(),
-                if r.proof_checked {
-                    "yes".into()
-                } else {
-                    "-".into()
-                },
+                r.check_ms
+                    .map_or_else(|| "-".to_string(), |ms| format!("{ms:.4}")),
             ]
         })
         .collect();
@@ -395,7 +421,7 @@ fn main() {
             "overhead",
             "conflicts",
             "steps",
-            "checked",
+            "check_ms",
         ],
         &table,
     );

@@ -1,19 +1,24 @@
 //! The forward RUP/DRAT checker — the trusted core.
 //!
 //! Design goals, in order: *small*, *obviously correct*, *independent*. The
-//! checker keeps the clause database in a flat literal arena with per-literal
-//! occurrence lists and replays unit propagation naively (no watched
-//! literals, no heuristics). An addition step is accepted iff the clause is
-//! RUP — assuming its negation on top of the root-level trail and propagating
-//! to fixpoint yields a conflict — and a deletion step is accepted iff it
-//! names a clause that is actually alive. A proof certifies refutation iff a
-//! root-level conflict is reached (normally via an explicit empty-clause
-//! addition).
+//! checker keeps the clause database in a flat literal arena and replays unit
+//! propagation with two watched literals (the first two slots of each clause)
+//! and no heuristics. An addition step is accepted iff the clause is RUP —
+//! assuming its negation on top of the root-level trail and propagating to
+//! fixpoint yields a conflict — and a deletion step is accepted iff it names
+//! a clause that is actually alive. A proof certifies refutation iff it
+//! explicitly adds the empty clause; a root-level conflict alone does not.
+//!
+//! Checking is forward: every lemma is checked in proof order, used or not.
+//! Unit propagation reaches a conflict in every visiting order or in none, so
+//! watched literals accept and reject exactly what a rescan of every clause
+//! would (`tests/watched_vs_naive.rs` holds that naive checker as an oracle).
 
 use crate::dimacs::CnfFormula;
 use crate::format::{Proof, ProofStep};
 use std::collections::HashMap;
 use std::fmt;
+use std::hash::{BuildHasher, RandomState};
 
 /// Why a proof (or certificate) was rejected.
 #[derive(Clone, PartialEq, Eq, Debug)]
@@ -96,7 +101,13 @@ pub struct CheckOutcome {
     pub additions: usize,
     /// Deletion steps accepted.
     pub deletions: usize,
-    /// Literals placed on the root trail by unit propagation.
+    /// The length of the root trail when the proof ends: literals assigned
+    /// at the root by unit clauses and unit propagation. Propagation stops
+    /// at the first root-level conflict it meets, so once one has occurred
+    /// this count depends on the order in which clauses were visited (the
+    /// fig10 proof from `solver_bench` gives 34 with the earlier
+    /// occurrence-list checker and 35 with watched literals). Without a
+    /// root-level conflict from propagation it is order-independent.
     pub propagations: usize,
 }
 
@@ -168,22 +179,68 @@ struct Span {
     alive: bool,
 }
 
+impl Span {
+    fn range(self) -> std::ops::Range<usize> {
+        self.start as usize..(self.start + self.len) as usize
+    }
+}
+
+/// A watch-list entry: the clause, and another of its literals. A true
+/// blocker means the clause is satisfied, so propagation skips it without
+/// reading the arena.
+#[derive(Clone, Copy)]
+struct Watch {
+    clause: u32,
+    blocker: i64,
+}
+
 struct Checker {
     num_vars: usize,
-    /// Flat literal storage for every clause ever added.
+    /// Flat literal storage for every clause ever added. The first two
+    /// slots of a clause of length 2 or more are its watched literals.
     arena: Vec<i64>,
     spans: Vec<Span>,
-    /// Occurrence lists indexed by literal code (`2*(v-1) + neg`).
-    occs: Vec<Vec<u32>>,
+    /// Watch lists indexed by literal code (`2*(v-1) + neg`): the clauses
+    /// with that literal in one of their two watch slots. Entries of
+    /// deleted clauses are dropped lazily, when propagation meets them.
+    watches: Vec<Vec<Watch>>,
     /// Assignment per variable: 0 unassigned, 1 true, -1 false.
     assign: Vec<i8>,
     /// Assigned literals in order; a prefix of it is the propagation queue.
     trail: Vec<i64>,
     qhead: usize,
-    /// Sorted-deduped literal list -> alive clause indices (for deletions).
-    by_key: HashMap<Vec<i64>, Vec<u32>>,
+    /// Deletion index: hash of the sorted-deduped literal list -> alive
+    /// clause indices in addition order. Built lazily: it covers
+    /// `spans[..indexed]`, and only a deletion step extends it.
+    by_key: HashMap<u64, Vec<u32>>,
+    indexed: usize,
+    /// Randomly keyed, so a crafted proof cannot pile its clauses into one
+    /// bucket of the deletion index.
+    key_hasher: RandomState,
+    /// Scratch buffers for deletion keys.
+    key_a: Vec<i64>,
+    key_b: Vec<i64>,
     /// Set once unit propagation reaches a conflict at the root level.
     conflicted: bool,
+}
+
+/// The value of `lit` under `assign`: 1 true, -1 false, 0 unassigned.
+fn value(assign: &[i8], lit: i64) -> i8 {
+    let a = assign[lit.unsigned_abs() as usize - 1];
+    if lit < 0 {
+        -a
+    } else {
+        a
+    }
+}
+
+/// Writes the sorted-deduped literal list of `clause` into `key`: equal
+/// literal sets give equal keys whatever their order or repetition.
+fn clause_key(clause: &[i64], key: &mut Vec<i64>) {
+    key.clear();
+    key.extend_from_slice(clause);
+    key.sort_unstable();
+    key.dedup();
 }
 
 impl Checker {
@@ -192,11 +249,15 @@ impl Checker {
             num_vars,
             arena: Vec::new(),
             spans: Vec::new(),
-            occs: vec![Vec::new(); 2 * num_vars],
+            watches: vec![Vec::new(); 2 * num_vars],
             assign: vec![0; num_vars],
             trail: Vec::new(),
             qhead: 0,
             by_key: HashMap::new(),
+            indexed: 0,
+            key_hasher: RandomState::new(),
+            key_a: Vec::new(),
+            key_b: Vec::new(),
             conflicted: false,
         }
     }
@@ -204,15 +265,6 @@ impl Checker {
     fn code(lit: i64) -> usize {
         let v = lit.unsigned_abs() as usize - 1;
         2 * v + usize::from(lit < 0)
-    }
-
-    fn value(&self, lit: i64) -> i8 {
-        let a = self.assign[lit.unsigned_abs() as usize - 1];
-        if lit < 0 {
-            -a
-        } else {
-            a
-        }
     }
 
     fn check_lits(&self, step: usize, clause: &[i64]) -> Result<(), CheckError> {
@@ -230,69 +282,90 @@ impl Checker {
         Ok(())
     }
 
-    fn clause_key(clause: &[i64]) -> Vec<i64> {
-        let mut key = clause.to_vec();
-        key.sort_unstable();
-        key.dedup();
-        key
-    }
-
     /// Adds a clause to the database and keeps the root trail saturated.
     fn add_clause(&mut self, clause: &[i64]) {
         if clause.is_empty() {
             self.conflicted = true;
             return;
         }
-        let start = self.arena.len() as u32;
+        let start = self.arena.len();
         self.arena.extend_from_slice(clause);
         let idx = self.spans.len() as u32;
         self.spans.push(Span {
-            start,
+            start: start as u32,
             len: clause.len() as u32,
             alive: true,
         });
-        for &l in clause {
-            self.occs[Self::code(l)].push(idx);
-        }
-        self.by_key
-            .entry(Self::clause_key(clause))
-            .or_default()
-            .push(idx);
-        // If the new clause is unit (or falsified) under the root assignment,
-        // propagate its consequence at the root.
-        let mut unassigned = None;
-        let mut n_unassigned = 0;
+        // Move the non-false literals to the front, so the watch slots hold
+        // non-false literals whenever the clause has two of them.
+        let c = &mut self.arena[start..];
+        let mut non_false = 0;
         let mut satisfied = false;
-        for &l in clause {
-            match self.value(l) {
-                1 => satisfied = true,
-                0 => {
-                    n_unassigned += 1;
-                    unassigned = Some(l);
+        for k in 0..c.len() {
+            match value(&self.assign, c[k]) {
+                -1 => {}
+                v => {
+                    satisfied |= v == 1;
+                    c.swap(non_false, k);
+                    non_false += 1;
                 }
-                _ => {}
             }
         }
+        if c.len() >= 2 {
+            let (w0, w1) = (c[0], c[1]);
+            self.watches[Self::code(w0)].push(Watch {
+                clause: idx,
+                blocker: w1,
+            });
+            self.watches[Self::code(w1)].push(Watch {
+                clause: idx,
+                blocker: w0,
+            });
+        }
+        // If the new clause is unit (or falsified) under the root assignment,
+        // propagate its consequence at the root.
         if satisfied {
             return;
         }
-        match n_unassigned {
+        match non_false {
             0 => self.conflicted = true,
-            1 if self.enqueue(unassigned.unwrap()) => self.conflicted = true,
+            1 => {
+                let unit = self.arena[start];
+                self.enqueue(unit);
+            }
             _ => {}
         }
     }
 
-    /// Deletes one alive clause with the given literal multiset. Returns
-    /// false if none exists.
+    /// Deletes the most recently added alive clause with the given literal
+    /// set. Returns false if none exists.
     fn delete_clause(&mut self, clause: &[i64]) -> bool {
-        let key = Self::clause_key(clause);
-        let Some(ids) = self.by_key.get_mut(&key) else {
+        while self.indexed < self.spans.len() {
+            clause_key(
+                &self.arena[self.spans[self.indexed].range()],
+                &mut self.key_a,
+            );
+            let h = self.key_hasher.hash_one(&self.key_a);
+            self.by_key.entry(h).or_default().push(self.indexed as u32);
+            self.indexed += 1;
+        }
+        // A hash hit is confirmed by comparing the keys themselves.
+        clause_key(clause, &mut self.key_a);
+        let h = self.key_hasher.hash_one(&self.key_a);
+        let Some(ids) = self.by_key.get_mut(&h) else {
             return false;
         };
-        let Some(idx) = ids.pop() else { return false };
+        let found = ids.iter().rposition(|&ci| {
+            clause_key(
+                &self.arena[self.spans[ci as usize].range()],
+                &mut self.key_b,
+            );
+            self.key_a == self.key_b
+        });
+        let Some(pos) = found else { return false };
+        let idx = ids.remove(pos);
         if ids.is_empty() {
-            self.by_key.remove(&key);
+            self.by_key.remove(&h);
         }
         self.spans[idx as usize].alive = false;
         true
@@ -300,7 +373,7 @@ impl Checker {
 
     /// Assigns `lit` true. Returns true on conflict (lit already false).
     fn enqueue(&mut self, lit: i64) -> bool {
-        match self.value(lit) {
+        match value(&self.assign, lit) {
             1 => false,
             -1 => true,
             _ => {
@@ -314,41 +387,62 @@ impl Checker {
     /// Propagates the queue to fixpoint. Returns true on conflict.
     fn propagate(&mut self) -> bool {
         while self.qhead < self.trail.len() {
-            let lit = self.trail[self.qhead];
+            let falsified = -self.trail[self.qhead];
             self.qhead += 1;
-            let falsified = Self::code(-lit);
-            for oi in 0..self.occs[falsified].len() {
-                let ci = self.occs[falsified][oi] as usize;
-                let span = self.spans[ci];
+            let mut ws = std::mem::take(&mut self.watches[Self::code(falsified)]);
+            let mut conflict = false;
+            let mut kept = 0;
+            let mut i = 0;
+            while i < ws.len() {
+                let w = ws[i];
+                i += 1;
+                if value(&self.assign, w.blocker) == 1 {
+                    ws[kept] = w;
+                    kept += 1;
+                    continue;
+                }
+                let span = self.spans[w.clause as usize];
                 if !span.alive {
                     continue;
                 }
-                let (start, end) = (span.start as usize, (span.start + span.len) as usize);
-                let mut satisfied = false;
-                let mut unassigned = None;
-                let mut n_unassigned = 0;
-                for i in start..end {
-                    let l = self.arena[i];
-                    match self.value(l) {
-                        1 => {
-                            satisfied = true;
-                            break;
-                        }
-                        0 => {
-                            n_unassigned += 1;
-                            unassigned = Some(l);
-                        }
-                        _ => {}
+                let c = &mut self.arena[span.range()];
+                if c[0] == falsified {
+                    c.swap(0, 1);
+                }
+                // Slot 1 now holds the falsified watch.
+                let other = c[0];
+                let other_value = value(&self.assign, other);
+                let w = Watch {
+                    clause: w.clause,
+                    blocker: other,
+                };
+                if other_value != 1 {
+                    // Look for a non-false replacement for the falsified watch.
+                    if let Some(k) = (2..c.len()).find(|&k| value(&self.assign, c[k]) != -1) {
+                        c.swap(1, k);
+                        self.watches[Self::code(c[1])].push(w);
+                        continue;
                     }
                 }
-                if satisfied {
-                    continue;
+                ws[kept] = w;
+                kept += 1;
+                match other_value {
+                    1 => {}
+                    0 => {
+                        self.enqueue(other);
+                    }
+                    _ => {
+                        conflict = true;
+                        break;
+                    }
                 }
-                match n_unassigned {
-                    0 => return true,
-                    1 if self.enqueue(unassigned.unwrap()) => return true,
-                    _ => {}
-                }
+            }
+            // Keep the entries not yet visited when a conflict cut the scan.
+            ws.copy_within(i.., kept);
+            ws.truncate(kept + (ws.len() - i));
+            self.watches[Self::code(falsified)] = ws;
+            if conflict {
+                return true;
             }
         }
         false
@@ -363,7 +457,8 @@ impl Checker {
 
     /// The RUP test: assume the negation of `clause` on top of the root
     /// trail, propagate, and report whether a conflict arises. The trail is
-    /// restored afterwards.
+    /// restored afterwards; the watches stay where propagation moved them,
+    /// which is sound because undoing assignments never falsifies a watch.
     fn is_rup(&mut self, clause: &[i64]) -> bool {
         let saved = self.trail.len();
         let mut conflict = false;

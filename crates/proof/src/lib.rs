@@ -12,8 +12,9 @@
 //! * [`check_drat`] — a *forward* RUP/DRAT checker. It re-parses DIMACS with
 //!   its own parser ([`parse_dimacs`]), replays unit propagation on its own
 //!   flat clause arena, and shares no code with `sciduction-sat` or
-//!   `sciduction-smt`. The trusted core is deliberately small and naive:
-//!   occurrence-list propagation, no watched literals, no activity heuristics.
+//!   `sciduction-smt`. The trusted core is deliberately small: two-watched-
+//!   literal propagation, no activity heuristics, and every lemma checked in
+//!   proof order.
 //! * [`SmtCertificate`] — an end-to-end certificate for a bit-blasted SMT
 //!   `unsat`: the blasted CNF, the assumption literals active at the failing
 //!   check, the term-to-literal blasting map, and the SAT proof. Checked by

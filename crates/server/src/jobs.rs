@@ -68,12 +68,24 @@ impl Default for JobCommon {
 pub struct SatJob {
     /// Number of variables.
     pub num_vars: usize,
-    /// Clauses as DIMACS-style signed literals.
-    pub clauses: Vec<Vec<i64>>,
+    /// The clauses as DIMACS-style signed literals, flat, with a 0 after
+    /// each clause. Every admitted spec stays in the live transcript, so
+    /// the job keeps one allocation rather than one per clause; `num_vars`
+    /// is at most 100000, so every literal fits an `i32`.
+    lits: Vec<i32>,
     /// Emit (and serve a reference to) a DRAT proof on unsat.
     pub proof: bool,
     /// Shared knobs.
     pub common: JobCommon,
+}
+
+impl SatJob {
+    /// The clauses, in order, each without its 0 terminator.
+    pub fn clauses(&self) -> impl Iterator<Item = &[i32]> {
+        self.lits
+            .split_inclusive(|&l| l == 0)
+            .map(|c| &c[..c.len() - 1])
+    }
 }
 
 /// A named figure workload (fig6/fig8 SMT queries, fig10 SAT race).
@@ -161,7 +173,7 @@ impl JobSpec {
     /// A short label for transcripts and logs.
     pub fn label(&self) -> String {
         match self {
-            JobSpec::Sat(j) => format!("sat[v{} c{}]", j.num_vars, j.clauses.len()),
+            JobSpec::Sat(j) => format!("sat[v{} c{}]", j.num_vars, j.clauses().count()),
             JobSpec::Fig(j) => j.name.clone(),
             JobSpec::Synth(j) => format!("synth:{}[w{}]", j.name, j.width),
             JobSpec::Audit => "audit".into(),
@@ -184,9 +196,10 @@ impl JobSpec {
                 push(
                     "clauses",
                     Value::Arr(
-                        j.clauses
-                            .iter()
-                            .map(|cl| Value::Arr(cl.iter().map(|&l| Value::Int(l)).collect()))
+                        j.clauses()
+                            .map(|cl| {
+                                Value::Arr(cl.iter().map(|&l| Value::Int(l.into())).collect())
+                            })
                             .collect(),
                     ),
                 );
@@ -345,22 +358,26 @@ fn parse_sat(job: &Value) -> Result<SatJob, String> {
     if raw.len() > 1_000_000 {
         return Err("too many clauses (limit 1000000)".into());
     }
-    let mut clauses = Vec::with_capacity(raw.len());
+    // Sized exactly: the spec lives on in the transcript.
+    let size = raw
+        .iter()
+        .map(|cl| cl.as_arr().map_or(0, <[Value]>::len) + 1)
+        .sum();
+    let mut lits = Vec::with_capacity(size);
     for (i, cl) in raw.iter().enumerate() {
-        let lits = cl
+        let cl = cl
             .as_arr()
             .ok_or(format!("clause {i} must be an array of literals"))?;
-        let mut parsed = Vec::with_capacity(lits.len());
-        for l in lits {
+        for l in cl {
             let v = l
                 .as_i64()
                 .filter(|&v| v != 0 && v.unsigned_abs() <= num_vars as u64)
                 .ok_or(format!(
                     "clause {i}: literals must be nonzero integers with |lit| <= num_vars"
                 ))?;
-            parsed.push(v);
+            lits.push(v as i32);
         }
-        clauses.push(parsed);
+        lits.push(0);
     }
     let proof = match job.get("proof") {
         None => false,
@@ -368,7 +385,7 @@ fn parse_sat(job: &Value) -> Result<SatJob, String> {
     };
     Ok(SatJob {
         num_vars,
-        clauses,
+        lits,
         proof,
         common: parse_common(job)?,
     })
@@ -634,7 +651,10 @@ fn write_artifact(path: &PathBuf, text: &str) -> Result<(), JobError> {
 fn to_cnf(j: &SatJob) -> Cnf {
     Cnf {
         num_vars: j.num_vars,
-        clauses: j.clauses.clone(),
+        clauses: j
+            .clauses()
+            .map(|cl| cl.iter().map(|&l| l.into()).collect())
+            .collect(),
     }
 }
 
@@ -815,7 +835,7 @@ mod tests {
         match sat {
             JobSpec::Sat(j) => {
                 assert_eq!(j.num_vars, 2);
-                assert_eq!(j.clauses, vec![vec![1, -2], vec![2]]);
+                assert_eq!(j.clauses().collect::<Vec<_>>(), [&[1, -2][..], &[2]]);
                 assert!(j.proof);
             }
             other => panic!("wrong spec {other:?}"),
@@ -836,6 +856,37 @@ mod tests {
         }
         assert_eq!(parse(r#"{"kind":"stats"}"#).unwrap(), JobSpec::Stats);
         assert_eq!(parse(r#"{"kind":"audit"}"#).unwrap(), JobSpec::Audit);
+    }
+
+    #[test]
+    fn sat_specs_roundtrip_exactly_through_the_flat_clause_store() {
+        for (text, label, clauses) in [
+            (
+                r#"{"kind":"sat","num_vars":0,"clauses":[]}"#,
+                "sat[v0 c0]",
+                0,
+            ),
+            (
+                r#"{"kind":"sat","num_vars":2,"clauses":[[]]}"#,
+                "sat[v2 c1]",
+                1,
+            ),
+            (
+                r#"{"kind":"sat","num_vars":3,"clauses":[[1,-2],[],[3,3,-1],[-3]],"proof":true,"threads":1}"#,
+                "sat[v3 c4]",
+                4,
+            ),
+        ] {
+            let spec = parse(text).unwrap();
+            assert_eq!(spec.to_json().to_string(), text);
+            assert_eq!(JobSpec::from_json(&spec.to_json()).unwrap(), spec);
+            assert_eq!(spec.label(), label);
+            let JobSpec::Sat(j) = &spec else {
+                panic!("wrong spec {spec:?}")
+            };
+            assert_eq!(j.clauses().count(), clauses);
+            assert_eq!(to_cnf(j).clauses.len(), clauses);
+        }
     }
 
     #[test]
@@ -929,28 +980,15 @@ mod tests {
     #[test]
     fn engine_sat_jobs_answer_and_account() {
         let engine = Engine::new(None);
-        let sat = JobSpec::Sat(SatJob {
-            num_vars: 2,
-            clauses: vec![vec![1, -2], vec![2]],
-            proof: false,
-            common: JobCommon {
-                threads: 1,
-                ..JobCommon::default()
-            },
-        });
+        let sat =
+            parse(r#"{"kind":"sat","num_vars":2,"clauses":[[1,-2],[2]],"threads":1}"#).unwrap();
         let out = engine.execute("t-sat", &sat).unwrap();
         assert_eq!(out.verdict, "sat");
         assert!(out.receipt.coherent());
 
-        let unsat = JobSpec::Sat(SatJob {
-            num_vars: 1,
-            clauses: vec![vec![1], vec![-1]],
-            proof: true,
-            common: JobCommon {
-                threads: 1,
-                ..JobCommon::default()
-            },
-        });
+        let unsat =
+            parse(r#"{"kind":"sat","num_vars":1,"clauses":[[1],[-1]],"proof":true,"threads":1}"#)
+                .unwrap();
         let out = engine.execute("t-unsat", &unsat).unwrap();
         assert_eq!(out.verdict, "unsat");
         // proofs_dir is None: proof verified in memory, no file served.

@@ -639,6 +639,24 @@ mod tests {
     }
 
     #[test]
+    fn sat_admit_record_bytes_are_pinned() {
+        // The journal text of a SAT admission, pinned literally: a change
+        // to how SAT specs are stored must not move the WAL bytes that
+        // SRV002 replays.
+        let text = r#"{"t":"admit","seq":"7","tenant":"acme","id":"42","spec":{"kind":"sat","num_vars":3,"clauses":[[1,-2],[],[3,3,-1],[-3]],"proof":true,"threads":1,"fault_seed":5,"budget":{"conflicts":50}}}"#;
+        let rec = WalRecord::from_bytes(text.as_bytes()).expect("pinned record parses");
+        assert!(matches!(
+            &rec,
+            WalRecord::Admit {
+                seq: 7,
+                spec: JobSpec::Sat(_),
+                ..
+            }
+        ));
+        assert_eq!(String::from_utf8(rec.to_bytes()).unwrap(), text);
+    }
+
+    #[test]
     fn replay_rebuilds_transcript_accounts_and_orphans() {
         let records = vec![
             WalRecord::Admit {
