@@ -36,6 +36,11 @@ timeout 300 cargo test --release -p sciduction-suite --test par_vs_seq -q
 echo "==> budget properties (refuse-at-limit, ample ≡ unlimited)"
 cargo test --release -p sciduction-suite --test budget_props -q
 
+# Exits 1 when the Eq. (3) guards fail a-posteriori validation or a
+# dwell guard escapes its Eq. (3) guard (~0.1 s of synthesis, release).
+echo "==> eq3_eq4: transmission guards validate and nest (paper Eq. (3)/(4))"
+timeout 120 cargo run --release -p sciduction-bench --bin eq3_eq4
+
 echo "==> fault matrix: seeded injection sweep vs clean reference"
 for fault_seed in 1 2 3 4; do
   for threads in 1 4; do

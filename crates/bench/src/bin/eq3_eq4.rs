@@ -2,7 +2,10 @@
 //! **Eq. (3)** (safety only) and the dwell-time variant of **Eq. (4)**
 //! (≥ 5 s per gear mode).
 //!
-//! Run with `cargo run --release -p sciduction-bench --bin eq3_eq4`.
+//! Run with `cargo run --release -p sciduction-bench --bin eq3_eq4`. Exits 1
+//! when the a-posteriori validation of the Eq. (3) guards finds an unsafe
+//! sampled state, or when some dwell guard is not contained in its Eq. (3)
+//! guard.
 
 use sciduction_bench::{print_table, write_csv};
 use sciduction_hybrid::transmission::{eq3_expected, guard_seeds, initial_guards, transmission};
@@ -77,14 +80,15 @@ fn main() {
     let p = write_csv("eq3_guards", &csv);
     println!("series written to {}\n", p.display());
 
-    match validate_logic(&mds, &eq3.logic, 25, &config(0.0).reach) {
+    let violations = match validate_logic(&mds, &eq3.logic, 25, &config(0.0).reach) {
         sciduction::ValidityEvidence::EmpiricallyTested {
             trials, violations, ..
         } => {
             println!("a-posteriori validation: {violations}/{trials} sampled guard states unsafe");
+            violations
         }
         _ => unreachable!(),
-    }
+    };
 
     // Eq. (4): dwell-time variant.
     let t0 = Instant::now();
@@ -137,12 +141,18 @@ fn main() {
     );
     let p4 = write_csv("eq4_guards", &csv4);
     println!("series written to {}", p4.display());
-    println!(
-        "\nShape check: every dwell guard ⊆ its Eq. (3) guard: {}",
-        eq4.logic
-            .guards
-            .iter()
-            .zip(&eq3.logic.guards)
-            .all(|(d, b)| d.is_subset_of(b))
-    );
+    let nested = eq4
+        .logic
+        .guards
+        .iter()
+        .zip(&eq3.logic.guards)
+        .all(|(d, b)| d.is_subset_of(b));
+    println!("\nShape check: every dwell guard ⊆ its Eq. (3) guard: {nested}");
+    if violations > 0 || !nested {
+        eprintln!(
+            "eq3_eq4 FAILED: {violations} Eq. (3) validation violation(s); \
+             dwell guards nested in Eq. (3) guards: {nested}"
+        );
+        std::process::exit(1);
+    }
 }

@@ -9,7 +9,8 @@
 //! MDS along with its switching logic constitutes a hybrid system."
 
 use crate::hyperbox::HyperBox;
-use crate::ode::{rk4_step, VectorField};
+use crate::ode::{rk4_advance, VectorField};
+use std::collections::hash_map::{Entry, HashMap};
 use std::fmt;
 use std::sync::Arc;
 
@@ -149,9 +150,20 @@ impl Default for ReachConfig {
 /// simulation. "If we enter m in state s and follow its dynamics, will the
 /// trajectory visit only safe states until some exit guard becomes true?"
 ///
-/// With `min_dwell > 0` (the Eq. (4) dwell-time variant) the trajectory
-/// must additionally stay safe — with no need to exit — for the first
-/// `min_dwell` seconds; exit guards only count after that.
+/// The trajectory is integrated with fixed RK4 steps of `config.dt`. At
+/// every sample it must be safe; the answer is [`ReachVerdict::Safe`] once
+/// an exit guard of `mode` contains the state, or once the field's norm
+/// drops below `equilibrium_eps` (a safe equilibrium never moves again),
+/// and [`ReachVerdict::HorizonExhausted`] once `horizon` has elapsed.
+///
+/// With `min_dwell > 0` (the Eq. (4) dwell-time variant) exit guards only
+/// count from the first sample at `t >= min_dwell`. The simulation
+/// therefore runs in two parts with the same per-sample statements: a
+/// *dwell prefix* while `t < min_dwell`, which never reads `logic`, and
+/// the *remainder* from the prefix's final `(x, t)`. Because the prefix
+/// depends only on `(mds, mode, state, config)`, one synthesis call
+/// memoizes it across the learner's queries (see `DwellPrefixCache`);
+/// this function is the uncached composition of the two parts.
 pub fn reach_label(
     mds: &Mds,
     logic: &SwitchingLogic,
@@ -159,31 +171,192 @@ pub fn reach_label(
     state: &[f64],
     config: &ReachConfig,
 ) -> ReachVerdict {
-    let exits = mds.exits_of(mode);
-    let dyn_f = mds.modes[mode].dynamics.clone();
-    let field = (mds.dim, move |x: &[f64], out: &mut [f64]| dyn_f(x, out));
     let mut x = state.to_vec();
     let mut t = 0.0;
-    let mut deriv = vec![0.0; mds.dim];
+    let mut buf = vec![0.0; 5 * x.len()];
+    match dwell_prefix(mds, mode, config, &mut x, &mut t, &mut buf) {
+        Some(verdict) => verdict,
+        None => reach_remainder(mds, logic, mode, config, &mut x, t, &mut buf),
+    }
+}
+
+/// Mode `mode`'s vector field, borrowed from `mds`.
+fn mode_field(mds: &Mds, mode: usize) -> impl VectorField + '_ {
+    (mds.dim, &*mds.modes[mode].dynamics)
+}
+
+/// The statements every oracle sample ends with, once its checks on `x`
+/// have passed: the equilibrium test, the horizon test, and one RK4 step
+/// that reuses the field value of the equilibrium test as `k1`. `buf`
+/// holds that field value followed by the step's scratch (`5 * x.len()`
+/// slots). Returns the verdict when the simulation ends here.
+fn settle_or_step<F: VectorField>(
+    field: &F,
+    config: &ReachConfig,
+    x: &mut [f64],
+    t: &mut f64,
+    buf: &mut [f64],
+) -> Option<ReachVerdict> {
+    let (deriv, scratch) = buf.split_at_mut(x.len());
+    field.eval(x, deriv);
+    let norm: f64 = deriv.iter().map(|d| d * d).sum::<f64>().sqrt();
+    if norm < config.equilibrium_eps {
+        // Safe equilibrium: the state never changes again; with the
+        // dwell already satisfied or no exit ever needed, this is safe.
+        return Some(ReachVerdict::Safe);
+    }
+    if *t >= config.horizon {
+        return Some(ReachVerdict::HorizonExhausted);
+    }
+    rk4_advance(field, x, deriv, config.dt, scratch);
+    *t += config.dt;
+    None
+}
+
+/// The dwell prefix of [`reach_label`]: simulates from `(x, t)` while
+/// `t < min_dwell`, checking safety, the equilibrium norm and the
+/// horizon, but no exit guard — it never reads the switching logic.
+/// Returns the verdict if one of those checks settles it; otherwise
+/// leaves `(x, t)` at the first sample with `t >= min_dwell`.
+fn dwell_prefix(
+    mds: &Mds,
+    mode: usize,
+    config: &ReachConfig,
+    x: &mut [f64],
+    t: &mut f64,
+    buf: &mut [f64],
+) -> Option<ReachVerdict> {
+    let field = mode_field(mds, mode);
+    while *t < config.min_dwell {
+        if !(mds.safe)(mode, x) {
+            return Some(ReachVerdict::Unsafe);
+        }
+        if let Some(verdict) = settle_or_step(&field, config, x, t, buf) {
+            return Some(verdict);
+        }
+    }
+    None
+}
+
+/// The remainder of [`reach_label`]: the full oracle loop, exit guards
+/// included, started from the `(x, t)` its dwell prefix ended at.
+fn reach_remainder(
+    mds: &Mds,
+    logic: &SwitchingLogic,
+    mode: usize,
+    config: &ReachConfig,
+    x: &mut [f64],
+    mut t: f64,
+    buf: &mut [f64],
+) -> ReachVerdict {
+    let exits = mds.exits_of(mode);
+    let field = mode_field(mds, mode);
     loop {
-        if !(mds.safe)(mode, &x) {
+        if !(mds.safe)(mode, x) {
             return ReachVerdict::Unsafe;
         }
-        if t >= config.min_dwell && exits.iter().any(|&e| logic.guards[e].contains(&x)) {
+        if t >= config.min_dwell && exits.iter().any(|&e| logic.guards[e].contains(x)) {
             return ReachVerdict::Safe;
         }
-        field.eval(&x, &mut deriv);
-        let norm: f64 = deriv.iter().map(|d| d * d).sum::<f64>().sqrt();
-        if norm < config.equilibrium_eps {
-            // Safe equilibrium: the state never changes again; with the
-            // dwell already satisfied or no exit ever needed, this is safe.
-            return ReachVerdict::Safe;
+        if let Some(verdict) = settle_or_step(&field, config, x, &mut t, buf) {
+            return verdict;
         }
-        if t >= config.horizon {
-            return ReachVerdict::HorizonExhausted;
+    }
+}
+
+/// Where a query's dwell prefix ended.
+#[derive(Debug)]
+enum Prefix {
+    /// The prefix settled the verdict: `Unsafe`, an equilibrium `Safe`,
+    /// or `HorizonExhausted`.
+    Settled(ReachVerdict),
+    /// The exact state and time of the first sample with
+    /// `t >= min_dwell`, where the remainder starts.
+    Dwelt { x: Vec<f64>, t: f64 },
+}
+
+/// [`reach_label`] with its dwell prefix memoized per `(mode, state)`.
+///
+/// The learner of one synthesis call asks the oracle about the same
+/// switching states again and again under shrinking guards. The dwell
+/// prefix never reads the guards, so its outcome is a function of
+/// `(mode, state)` for a fixed `mds` and `config`; this cache binds both
+/// for its lifetime and is meant to live for exactly one synthesis call.
+/// Keys are the states' `f64` bit patterns, so `-0.0` and `0.0` are
+/// separate entries and every answer is the one [`reach_label`] gives.
+/// With `min_dwell <= 0` the prefix is empty and the map is skipped. The
+/// cache also owns the query scratch, so a query allocates no simulation
+/// buffers.
+pub(crate) struct DwellPrefixCache<'a> {
+    mds: &'a Mds,
+    config: &'a ReachConfig,
+    prefixes: HashMap<(usize, Vec<u64>), Prefix>,
+    x: Vec<f64>,
+    buf: Vec<f64>,
+}
+
+impl<'a> DwellPrefixCache<'a> {
+    /// An empty cache for queries on `mds` under `config`.
+    pub(crate) fn new(mds: &'a Mds, config: &'a ReachConfig) -> Self {
+        DwellPrefixCache {
+            mds,
+            config,
+            prefixes: HashMap::new(),
+            x: Vec::with_capacity(mds.dim),
+            buf: vec![0.0; 5 * mds.dim],
         }
-        x = rk4_step(&field, &x, config.dt);
-        t += config.dt;
+    }
+
+    /// The verdict [`reach_label`] gives for `(logic, mode, state)`.
+    pub(crate) fn reach_label(
+        &mut self,
+        logic: &SwitchingLogic,
+        mode: usize,
+        state: &[f64],
+    ) -> ReachVerdict {
+        self.x.clear();
+        self.x.extend_from_slice(state);
+        self.buf.resize(5 * state.len(), 0.0);
+        let mut t = 0.0;
+        if 0.0 < self.config.min_dwell {
+            let key = (mode, state.iter().map(|v| v.to_bits()).collect());
+            let prefix = match self.prefixes.entry(key) {
+                Entry::Occupied(hit) => hit.into_mut(),
+                Entry::Vacant(miss) => {
+                    let verdict = dwell_prefix(
+                        self.mds,
+                        mode,
+                        self.config,
+                        &mut self.x,
+                        &mut t,
+                        &mut self.buf,
+                    );
+                    miss.insert(match verdict {
+                        Some(verdict) => Prefix::Settled(verdict),
+                        None => Prefix::Dwelt {
+                            x: self.x.clone(),
+                            t,
+                        },
+                    })
+                }
+            };
+            match prefix {
+                Prefix::Settled(verdict) => return *verdict,
+                Prefix::Dwelt { x, t: dwelt } => {
+                    self.x.copy_from_slice(x);
+                    t = *dwelt;
+                }
+            }
+        }
+        reach_remainder(
+            self.mds,
+            logic,
+            mode,
+            self.config,
+            &mut self.x,
+            t,
+            &mut self.buf,
+        )
     }
 }
 
@@ -254,7 +427,11 @@ pub fn simulate_hybrid_with_policy(
     let mut x = x0.to_vec();
     let mut t = 0.0;
     let mut all_safe = true;
-    let mut deriv = vec![0.0; mds.dim];
+    // The `LatestSafe` peek-ahead state, and `f(x)` followed by the RK4
+    // scratch.
+    let mut ahead = vec![0.0; x.len()];
+    let mut buf = vec![0.0; 5 * x.len()];
+    let (deriv, scratch) = buf.split_at_mut(x.len());
     for (leg, &mode) in mode_sequence.iter().enumerate() {
         let next = mode_sequence.get(leg + 1).copied();
         let trans = next.map(|n| {
@@ -263,8 +440,7 @@ pub fn simulate_hybrid_with_policy(
                 .position(|tr| tr.from == mode && tr.to == n)
                 .unwrap_or_else(|| panic!("no transition {mode} → {n}"))
         });
-        let dyn_f = mds.modes[mode].dynamics.clone();
-        let field = (mds.dim, move |s: &[f64], out: &mut [f64]| dyn_f(s, out));
+        let field = mode_field(mds, mode);
         let t_enter = t;
         loop {
             samples.push(HybridSample {
@@ -275,10 +451,12 @@ pub fn simulate_hybrid_with_policy(
             if !(mds.safe)(mode, &x) {
                 all_safe = false;
             }
+            // `f(x)`: the equilibrium test's norm and the next step's `k1`.
+            field.eval(&x, deriv);
+            let mut peeked = false;
             match trans {
                 None => {
                     // Final leg: run until equilibrium or horizon.
-                    field.eval(&x, &mut deriv);
                     let norm: f64 = deriv.iter().map(|d| d * d).sum::<f64>().sqrt();
                     if norm < config.equilibrium_eps || t - t_enter >= config.horizon {
                         return (samples, all_safe);
@@ -294,7 +472,8 @@ pub fn simulate_hybrid_with_policy(
                                 // continuing would lose the guard or
                                 // safety — or gains nothing because the
                                 // mode is at an equilibrium.
-                                let ahead = rk4_step(&field, &x, config.dt);
+                                ahead.copy_from_slice(&x);
+                                rk4_advance(&field, &mut ahead, deriv, config.dt, scratch);
                                 let stationary = ahead
                                     .iter()
                                     .zip(&x)
@@ -305,6 +484,7 @@ pub fn simulate_hybrid_with_policy(
                                 {
                                     break;
                                 }
+                                peeked = true;
                             }
                         }
                     }
@@ -315,7 +495,12 @@ pub fn simulate_hybrid_with_policy(
                     }
                 }
             }
-            x = rk4_step(&field, &x, config.dt);
+            if peeked {
+                // The peek already took exactly this step.
+                std::mem::swap(&mut x, &mut ahead);
+            } else {
+                rk4_advance(&field, &mut x, deriv, config.dt, scratch);
+            }
             t += config.dt;
         }
     }
@@ -349,12 +534,15 @@ pub fn simulate_hybrid_batch(
 }
 
 #[cfg(test)]
-mod tests {
+mod oracle_diff;
+
+#[cfg(test)]
+pub(crate) mod tests {
     use super::*;
 
     /// A thermostat: mode 0 = heating (ṪΔ = +2), mode 1 = cooling
     /// (Ṫ = −1). Safe band: T ∈ [15, 30].
-    fn thermostat() -> Mds {
+    pub(crate) fn thermostat() -> Mds {
         Mds {
             dim: 1,
             modes: vec![

@@ -27,30 +27,60 @@ impl<F: Fn(&[f64], &mut [f64])> VectorField for (usize, F) {
     }
 }
 
-/// One classic fourth-order Runge–Kutta step of size `dt`.
-pub fn rk4_step<F: VectorField + ?Sized>(f: &F, x: &[f64], dt: f64) -> Vec<f64> {
+/// One classic fourth-order Runge–Kutta step of size `dt`, in place:
+/// `x` becomes the next state. `k1` must hold `f(x)` — callers that
+/// already evaluated the field at `x` (an equilibrium test, say) pass that
+/// value instead of paying a fifth evaluation. `scratch` holds the `k2`,
+/// `k3`, `k4` stages and the stage argument, so it needs at least
+/// `4 * x.len()` slots; the step allocates nothing.
+///
+/// This is the one RK4 body in the crate: [`rk4_step`], [`integrate`], the
+/// reachability oracle and the hybrid-trajectory simulator all step here.
+///
+/// # Panics
+///
+/// Panics if `scratch` is shorter than `4 * x.len()`.
+pub(crate) fn rk4_advance<F: VectorField + ?Sized>(
+    f: &F,
+    x: &mut [f64],
+    k1: &[f64],
+    dt: f64,
+    scratch: &mut [f64],
+) {
     let n = x.len();
-    let mut k1 = vec![0.0; n];
-    let mut k2 = vec![0.0; n];
-    let mut k3 = vec![0.0; n];
-    let mut k4 = vec![0.0; n];
-    let mut tmp = vec![0.0; n];
-    f.eval(x, &mut k1);
+    let (k2, rest) = scratch.split_at_mut(n);
+    let (k3, rest) = rest.split_at_mut(n);
+    let (k4, rest) = rest.split_at_mut(n);
+    let tmp = &mut rest[..n];
     for i in 0..n {
         tmp[i] = x[i] + 0.5 * dt * k1[i];
     }
-    f.eval(&tmp, &mut k2);
+    f.eval(tmp, k2);
     for i in 0..n {
         tmp[i] = x[i] + 0.5 * dt * k2[i];
     }
-    f.eval(&tmp, &mut k3);
+    f.eval(tmp, k3);
     for i in 0..n {
         tmp[i] = x[i] + dt * k3[i];
     }
-    f.eval(&tmp, &mut k4);
-    (0..n)
-        .map(|i| x[i] + dt / 6.0 * (k1[i] + 2.0 * k2[i] + 2.0 * k3[i] + k4[i]))
-        .collect()
+    f.eval(tmp, k4);
+    // Index `i` reads only `x[i]`, so overwriting `x` in place is safe;
+    // `x[i] += e` rounds once, exactly as `x[i] + e` does.
+    for i in 0..n {
+        x[i] += dt / 6.0 * (k1[i] + 2.0 * k2[i] + 2.0 * k3[i] + k4[i]);
+    }
+}
+
+/// One classic fourth-order Runge–Kutta step of size `dt`, returning the
+/// next state. A wrapper that allocates the state and stage buffers around
+/// the crate's in-place step, so the RK4 arithmetic exists in one place.
+pub fn rk4_step<F: VectorField + ?Sized>(f: &F, x: &[f64], dt: f64) -> Vec<f64> {
+    let n = x.len();
+    let mut k1 = vec![0.0; n];
+    f.eval(x, &mut k1);
+    let mut next = x.to_vec();
+    rk4_advance(f, &mut next, &k1, dt, &mut vec![0.0; 4 * n]);
+    next
 }
 
 /// One Runge–Kutta–Fehlberg 4(5) step: returns the fifth-order estimate
@@ -153,9 +183,12 @@ pub fn integrate<F: VectorField + ?Sized>(f: &F, x0: &[f64], t_end: f64, dt: f64
     };
     let mut t = 0.0;
     let mut x = x0.to_vec();
+    let mut buf = vec![0.0; 5 * x.len()];
+    let (k1, scratch) = buf.split_at_mut(x.len());
     while t < t_end - 1e-12 {
         let step = dt.min(t_end - t);
-        x = rk4_step(f, &x, step);
+        f.eval(&x, k1);
+        rk4_advance(f, &mut x, k1, step, scratch);
         t += step;
         tr.times.push(t);
         tr.states.push(x.clone());

@@ -8,7 +8,7 @@
 
 use crate::hyperbox::{find_seed, learn_hyperbox, Grid, HyperBox};
 use crate::journal::GuardSearchJournal;
-use crate::mds::{reach_label, Mds, ReachConfig, ReachVerdict, SwitchingLogic};
+use crate::mds::{reach_label, DwellPrefixCache, Mds, ReachConfig, ReachVerdict, SwitchingLogic};
 use sciduction::budget::{Budget, BudgetMeter, Exhausted};
 use sciduction::exec::{ExecError, ParallelOracle};
 use sciduction::recover::JournalError;
@@ -208,6 +208,9 @@ fn synthesize_rounds(
     record.checkpoint(&logic.guards, rounds, queries, &meter.receipt());
     let mut converged = false;
     let mut exhausted = None;
+    // The oracle's dwell prefixes, memoized for this call only: a hit is
+    // still one query, counted and charged like a miss.
+    let mut oracle = DwellPrefixCache::new(mds, &config.reach);
     'rounds: while rounds < config.max_rounds {
         if kill_at == Some(rounds) {
             return None;
@@ -230,9 +233,8 @@ fn synthesize_rounds(
             if bound.is_empty() {
                 continue;
             }
-            let label = |x: &[f64]| {
-                reach_label(mds, &logic, target_mode, x, &config.reach) == ReachVerdict::Safe
-            };
+            let mut label =
+                |x: &[f64]| oracle.reach_label(&logic, target_mode, x) == ReachVerdict::Safe;
             // Seed: hint if provided, else grid scan.
             let (seed, s1) = match &seeds[t] {
                 Some(hint) => find_seed(
@@ -240,16 +242,16 @@ fn synthesize_rounds(
                     std::slice::from_ref(hint),
                     config.grid,
                     config.seed_budget,
-                    label,
+                    &mut label,
                 ),
-                None => find_seed(&bound, &[], config.grid, config.seed_budget, label),
+                None => find_seed(&bound, &[], config.grid, config.seed_budget, &mut label),
             };
             queries += s1.queries;
             let mut learn_queries = 0;
             let new_guard = match seed {
                 None => HyperBox::empty(mds.dim),
                 Some(seed) => {
-                    let (learned, s2) = learn_hyperbox(&bound, &seed, config.grid, label);
+                    let (learned, s2) = learn_hyperbox(&bound, &seed, config.grid, &mut label);
                     queries += s2.queries;
                     learn_queries = s2.queries;
                     learned
@@ -307,6 +309,51 @@ fn synthesize_rounds(
     })
 }
 
+/// The deterministic stratified validation samples of every learnable,
+/// non-empty guard: `samples_per_guard` points along each guard's
+/// diagonal (coordinate 0 on unbounded dimensions), each paired with the
+/// transition's target mode.
+fn validation_samples(
+    mds: &Mds,
+    logic: &SwitchingLogic,
+    samples_per_guard: usize,
+) -> Vec<(usize, Vec<f64>)> {
+    let mut samples = Vec::new();
+    for (t, tr) in mds.transitions.iter().enumerate() {
+        let g = &logic.guards[t];
+        if !tr.learnable || g.is_empty() {
+            continue;
+        }
+        for k in 0..samples_per_guard {
+            let frac = (k as f64 + 0.5) / samples_per_guard as f64;
+            let x =
+                g.lo.iter()
+                    .zip(&g.hi)
+                    .map(|(l, h)| {
+                        if l.is_finite() && h.is_finite() {
+                            l + frac * (h - l)
+                        } else {
+                            0.0
+                        }
+                    })
+                    .collect();
+            samples.push((tr.to, x));
+        }
+    }
+    samples
+}
+
+/// The evidence of a validation sweep over `trials` samples.
+fn sweep_evidence(trials: usize, violations: usize) -> ValidityEvidence {
+    ValidityEvidence::EmpiricallyTested {
+        description: "dense sweep: every sampled switching state in every learned guard \
+                      keeps the trajectory safe until an exit is enabled"
+            .into(),
+        trials: trials as u64,
+        violations: violations as u64,
+    }
+}
+
 /// A-posteriori validation of synthesized logic (paper Sec. 5.3: when the
 /// hypothesis or the simulator's ideality is in doubt, "one must
 /// separately formally verify that the synthesized system satisfies the
@@ -318,40 +365,12 @@ pub fn validate_logic(
     samples_per_guard: usize,
     config: &ReachConfig,
 ) -> ValidityEvidence {
-    let mut trials = 0u64;
-    let mut violations = 0u64;
-    for (t, tr) in mds.transitions.iter().enumerate() {
-        if !tr.learnable || logic.guards[t].is_empty() {
-            continue;
-        }
-        let g = &logic.guards[t];
-        for k in 0..samples_per_guard {
-            // Deterministic stratified samples along each finite dim.
-            let frac = (k as f64 + 0.5) / samples_per_guard as f64;
-            let x: Vec<f64> =
-                g.lo.iter()
-                    .zip(&g.hi)
-                    .map(|(l, h)| {
-                        if l.is_finite() && h.is_finite() {
-                            l + frac * (h - l)
-                        } else {
-                            0.0
-                        }
-                    })
-                    .collect();
-            trials += 1;
-            if reach_label(mds, logic, tr.to, &x, config) != ReachVerdict::Safe {
-                violations += 1;
-            }
-        }
-    }
-    ValidityEvidence::EmpiricallyTested {
-        description: "dense sweep: every sampled switching state in every learned guard \
-                      keeps the trajectory safe until an exit is enabled"
-            .into(),
-        trials,
-        violations,
-    }
+    let samples = validation_samples(mds, logic, samples_per_guard);
+    let violations = samples
+        .iter()
+        .filter(|(mode, x)| reach_label(mds, logic, *mode, x, config) != ReachVerdict::Safe)
+        .count();
+    sweep_evidence(samples.len(), violations)
 }
 
 /// [`validate_logic`] with the per-sample reachability simulations fanned
@@ -369,78 +388,19 @@ pub fn par_validate_logic(
     config: &ReachConfig,
     threads: usize,
 ) -> Result<ValidityEvidence, ExecError> {
-    // The same deterministic stratified samples as the sequential sweep.
-    let mut samples: Vec<(usize, Vec<f64>)> = Vec::new();
-    for (t, tr) in mds.transitions.iter().enumerate() {
-        if !tr.learnable || logic.guards[t].is_empty() {
-            continue;
-        }
-        let g = &logic.guards[t];
-        for k in 0..samples_per_guard {
-            let frac = (k as f64 + 0.5) / samples_per_guard as f64;
-            let x: Vec<f64> =
-                g.lo.iter()
-                    .zip(&g.hi)
-                    .map(|(l, h)| {
-                        if l.is_finite() && h.is_finite() {
-                            l + frac * (h - l)
-                        } else {
-                            0.0
-                        }
-                    })
-                    .collect();
-            samples.push((tr.to, x));
-        }
-    }
+    let samples = validation_samples(mds, logic, samples_per_guard);
     let verdicts = ParallelOracle::new(threads).map(&samples, |_, (mode, x)| {
         reach_label(mds, logic, *mode, x, config) == ReachVerdict::Safe
     })?;
-    Ok(ValidityEvidence::EmpiricallyTested {
-        description: "dense sweep: every sampled switching state in every learned guard \
-                      keeps the trajectory safe until an exit is enabled"
-            .into(),
-        trials: samples.len() as u64,
-        violations: verdicts.iter().filter(|&&safe| !safe).count() as u64,
-    })
+    let violations = verdicts.iter().filter(|&&safe| !safe).count();
+    Ok(sweep_evidence(samples.len(), violations))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::mds::{Mode, Transition};
+    use crate::mds::tests::thermostat;
     use std::sync::Arc;
-
-    /// Thermostat MDS with the safe band [15, 30].
-    fn thermostat() -> Mds {
-        Mds {
-            dim: 1,
-            modes: vec![
-                Mode {
-                    name: "heat".into(),
-                    dynamics: Arc::new(|_x, out| out[0] = 2.0),
-                },
-                Mode {
-                    name: "cool".into(),
-                    dynamics: Arc::new(|_x, out| out[0] = -1.0),
-                },
-            ],
-            transitions: vec![
-                Transition {
-                    name: "h2c".into(),
-                    from: 0,
-                    to: 1,
-                    learnable: true,
-                },
-                Transition {
-                    name: "c2h".into(),
-                    from: 1,
-                    to: 0,
-                    learnable: true,
-                },
-            ],
-            safe: Arc::new(|_m, x| (15.0..=30.0).contains(&x[0])),
-        }
-    }
 
     #[test]
     fn thermostat_guards_shrink_to_safe_band() {
